@@ -342,6 +342,14 @@ type Program struct {
 // This is the link-time table search of Section 3.3: any address within the
 // procedure works as the key.
 func (p *Program) DescFor(pc int64) *Desc {
+	if i := p.DescIndex(pc); i >= 0 {
+		return p.Descs[i]
+	}
+	return nil
+}
+
+// DescIndex is DescFor returning the descriptor's index in Descs, or -1.
+func (p *Program) DescIndex(pc int64) int {
 	lo, hi := 0, len(p.Descs)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -352,10 +360,10 @@ func (p *Program) DescFor(pc int64) *Desc {
 		case pc >= d.End:
 			lo = mid + 1
 		default:
-			return d
+			return mid
 		}
 	}
-	return nil
+	return -1
 }
 
 // Builtin identifies a runtime service callable through Call with a

@@ -43,8 +43,14 @@ type decoded struct {
 	runLen         int32
 	runCost        int32
 	runCostButLast int32
-	op             isa.Op
-	rd, ra, rb     isa.Reg
+	// runCheckCost is the suffix sum of the run's epilogue-check costs —
+	// the cycles the observability layer attributes to PhaseEpilogue when
+	// the run executes as one batch. Zero in Cilk cost mode, where checks
+	// are refunded per call and never attributed. It fits the padding the
+	// byte-sized fields below leave, keeping the entry at 48 bytes.
+	runCheckCost int32
+	op           isa.Op
+	rd, ra, rb   isa.Reg
 	// builtin is the runtime service for a negative Call target (zero when
 	// the call is ordinary).
 	builtin uint8
@@ -110,6 +116,7 @@ func (m *Machine) buildDecode() {
 			nextLen = 0
 			continue
 		}
+		d.runCheckCost = m.checkCost(d)
 		if nextLen == 0 {
 			d.runLen, d.runCost, d.runCostButLast = 1, d.cost, 0
 		} else {
@@ -117,7 +124,18 @@ func (m *Machine) buildDecode() {
 			d.runLen = nextLen + 1
 			d.runCost = d.cost + next.runCost
 			d.runCostButLast = d.cost + next.runCostButLast
+			d.runCheckCost += next.runCheckCost
 		}
 		nextLen = d.runLen
 	}
+}
+
+// checkCost is the cycles the observability layer attributes to
+// PhaseEpilogue when d executes: its cost if it belongs to an augmented
+// epilogue's free check, and nothing in Cilk cost mode (see obsTick).
+func (m *Machine) checkCost(d *decoded) int32 {
+	if d.isCheck && !m.Opts.CilkCost {
+		return d.cost
+	}
+	return 0
 }

@@ -1,12 +1,16 @@
 package machine
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/postproc"
 )
 
@@ -336,4 +340,140 @@ func TestFastPathDegenerateBudgets(t *testing.T) {
 			return b
 		})
 	})
+}
+
+// TestDecodedLayout pins the decode-cache entry at 48 bytes, the size the
+// decoded comment and DESIGN §14.1 promise: new metadata must fit the
+// padding the byte-sized fields leave.
+func TestDecodedLayout(t *testing.T) {
+	if got := unsafe.Sizeof(decoded{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(decoded{}) = %d, want 48", got)
+	}
+}
+
+// TestFastPathObsTrapInCheckBlock traps inside batched runs that contain
+// augmented-epilogue check instructions, with observability attached in
+// both cost modes. blockSync must attribute exactly the epilogue-check
+// cycles the per-instruction path would have attributed up to and
+// including the faulting instruction.
+func TestFastPathObsTrapInCheckBlock(t *testing.T) {
+	cases := []struct {
+		name    string
+		atCheck bool // the faulting instruction is itself a check
+		build   func(u *asm.Unit)
+	}{
+		// The free check's own load faults: the epilogue run is the
+		// callee-save restore plus the check load, which reads the
+		// worker-local cell through a WL below mem.Guard.
+		{"trap-on-check", true, func(u *asm.Unit) {
+			b := u.Proc("main", 0, 2)
+			b.Const(isa.R5, 7) // a callee-save write: the epilogue restores it
+			b.Const(isa.WL, 3)
+			b.Ret(isa.R5)
+		}},
+		// The retain path's run is load-lr, const (check), store (check),
+		// load-fp. With FP one word above mem.Guard the first three
+		// succeed and the parent-FP load faults, after both checks.
+		{"trap-after-check", false, func(u *asm.Unit) {
+			b := u.Proc("main", 0, 2)
+			b.Const(isa.WL, mem.Guard) // "max E" reads the zero heap cell: retain
+			b.Const(isa.FP, mem.Guard+1)
+			b.Ret(isa.T0)
+		}},
+	}
+	for _, tc := range cases {
+		for _, cilk := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/cilk=%v", tc.name, cilk), func(t *testing.T) {
+				u := asm.NewUnit()
+				tc.build(u)
+				procs, err := u.Build()
+				if err != nil {
+					t.Fatalf("build: %v", err)
+				}
+				prog, err := postproc.Compile(procs, postproc.Options{Augment: true, ForceAugmentAll: true})
+				if err != nil {
+					t.Fatalf("compile: %v", err)
+				}
+				mf, wf := startWorker(t, prog, Options{CilkCost: cilk, Obs: obs.New()})
+				_, ws := startWorker(t, prog, Options{CilkCost: cilk, Obs: obs.New(), NoFastPath: true})
+				evF, evS := wf.Run(math.MaxInt64), ws.Run(math.MaxInt64)
+				if evF != EvTrap || evS != EvTrap {
+					t.Fatalf("events: fast=%v slow=%v, want both EvTrap (errs %v / %v)", evF, evS, wf.Err, ws.Err)
+				}
+				diffWorker(t, "trap state", wf, ws)
+				if wf.Err.Error() != ws.Err.Error() {
+					t.Fatalf("errors diverged:\n  fast: %v\n  slow: %v", wf.Err, ws.Err)
+				}
+				if wf.BatchedCycles() == 0 {
+					t.Fatal("the trap was not raised inside a batch")
+				}
+				if d := mf.dec[wf.PC]; d.runLen == 0 || d.isCheck != tc.atCheck {
+					t.Fatalf("trap pc %d: straightline=%v check=%v, want a straightline pc with check=%v",
+						wf.PC, d.runLen > 0, d.isCheck, tc.atCheck)
+				}
+				diffObs(t, "trap state", wf, ws)
+				if epi := wf.Obs.Phase[obs.PhaseEpilogue]; (epi == 0) != cilk {
+					t.Fatalf("epilogue-check cycles = %d in cilk=%v; the trap block's checks were not exercised", epi, cilk)
+				}
+			})
+		}
+	}
+}
+
+// diffObs fails the test unless two workers' attribution state and their
+// collectors' profiles are identical.
+func diffObs(t *testing.T, where string, a, b *Worker) {
+	t.Helper()
+	oa, ob := a.Obs, b.Obs
+	if oa.Phase != ob.Phase || oa.AttributedTotal() != ob.AttributedTotal() ||
+		oa.Samples != ob.Samples || oa.NextSample != ob.NextSample {
+		t.Fatalf("%s: obs diverged:\n  a: phase=%v attributed=%d samples=%d next=%d\n  b: phase=%v attributed=%d samples=%d next=%d",
+			where, oa.Phase, oa.AttributedTotal(), oa.Samples, oa.NextSample,
+			ob.Phase, ob.AttributedTotal(), ob.Samples, ob.NextSample)
+	}
+	if pa, pb := a.M.Opts.Obs.Profile(), b.M.Opts.Obs.Profile(); !reflect.DeepEqual(pa, pb) {
+		t.Fatalf("%s: profiles diverged:\n  a: %v\n  b: %v", where, pa, pb)
+	}
+}
+
+// TestFastPathObsSampleBoundary pins the batch's sample-boundary gate at
+// its edges: before every slice whose pc starts a straight-line run, both
+// profilers' next sample is placed exactly at the run's end, one cycle
+// before it, or one cycle after it, and the budget ends exactly at the run
+// boundary. A run ending on the sample boundary must not be batched — the
+// reference path samples its last instruction before EvBudget fires.
+func TestFastPathObsSampleBoundary(t *testing.T) {
+	prog := mixProgram(t)
+	mf, wf := startWorker(t, prog, Options{Obs: obs.New()})
+	_, ws := startWorker(t, prog, Options{Obs: obs.New(), NoFastPath: true})
+	for step := 0; ; step++ {
+		if step > 1_000_000 {
+			t.Fatal("runaway program")
+		}
+		b := int64(97)
+		if pc := wf.PC; pc >= 0 && pc < int64(len(mf.dec)) && mf.dec[pc].runLen > 1 {
+			d := &mf.dec[pc]
+			next := wf.Cycles + int64(d.runCost) + int64(step%3-1)
+			wf.Obs.NextSample, ws.Obs.NextSample = next, next
+			b = int64(d.runCost)
+		}
+		evF, evS := wf.Run(b), ws.Run(b)
+		if evF != evS {
+			t.Fatalf("step %d: events diverged: fast=%v slow=%v", step, evF, evS)
+		}
+		diffWorker(t, "slice boundary", wf, ws)
+		diffObs(t, fmt.Sprintf("step %d", step), wf, ws)
+		switch evF {
+		case EvBudget, EvPoll:
+			continue
+		case EvHalt:
+			if wf.BatchedCycles() == 0 || wf.Obs.Samples == 0 {
+				t.Fatalf("batched %d cycles with %d samples; the edges were never exercised",
+					wf.BatchedCycles(), wf.Obs.Samples)
+			}
+			return
+		default:
+			t.Fatalf("step %d: unexpected event %v (err=%v)", step, evF, wf.Err)
+		}
+	}
 }

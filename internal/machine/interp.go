@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/obs"
 )
 
 // runtimeError is a simulated-program fault raised inside the interpreter
@@ -30,11 +31,15 @@ func (w *Worker) fail(pc int64, format string, args ...any) {
 //
 // The loop is driven by the flat decode cache (decode.go): one entry per pc
 // holding the resolved opcode cost, registers, procedure descriptor, call
-// adjustments and straight-line run metadata. When tracing and observability
-// are off, runs of straightline instructions execute as a batch (runBlock)
-// with cycles charged in bulk and the budget checked only at run boundaries;
-// the batch is entered only when the whole run fits under the deadline, so
-// EvBudget fires at the identical instruction either way.
+// adjustments and straight-line run metadata. When tracing is off, runs of
+// straightline instructions execute as a batch (runBlock) with cycles
+// charged in bulk and the budget checked only at run boundaries; the batch
+// is entered only when the whole run fits under the deadline, so EvBudget
+// fires at the identical instruction either way. With observability
+// attached, the profiler's next sample boundary is a second deadline: a run
+// is batched only if it ends strictly before it, so the reference path still
+// executes, stack-walks and samples the exact instruction that crosses the
+// boundary, and the run's epilogue-check cycles are charged in one piece.
 func (w *Worker) Run(budget int64) (ev Event) {
 	deadline := w.Cycles + budget
 	if budget > 0 && deadline < w.Cycles {
@@ -57,23 +62,28 @@ func (w *Worker) Run(budget int64) (ev Event) {
 	dec := w.M.dec
 	// The batched fast path executes with deferred state writes, so it
 	// requires an execution environment with no per-instruction side
-	// channels: no tracing and no observability. Plain execution batches
-	// through runBlock (direct memory, inline store-hook calls); a chained
-	// speculation batches through runBlockView (page-view memory with a
-	// write log). The overlay-based single-quantum speculation has no
-	// batched equivalent and stays on the per-instruction path. Everything
-	// the batch skips is observationally redundant, so turning it off
-	// (NoFastPath) changes nothing but host speed.
-	fast := !w.M.Opts.NoFastPath && w.M.Opts.Trace == nil && w.Obs == nil &&
+	// channel: no tracing. Observability is compatible because its only
+	// per-instruction work inside a straight-line run is bulk-chargeable
+	// (the run's epilogue-check cost, runCheckCost) and its sampler is
+	// honored as a second deadline (ob.NextSample below). Plain execution
+	// batches through runBlock (direct memory, inline store-hook calls); a
+	// chained speculation batches through runBlockView (page-view memory
+	// with a write log). The overlay-based single-quantum speculation has
+	// no batched equivalent and stays on the per-instruction path.
+	// Everything the batch skips is observationally redundant, so turning
+	// it off (NoFastPath) changes nothing but host speed.
+	fast := !w.M.Opts.NoFastPath && w.M.Opts.Trace == nil &&
 		(w.spec == nil || w.spec.view != nil)
-	// The trace JIT additionally requires plain (non-speculative) memory:
-	// chained speculations must log page-view writes and overlay
-	// speculations intercept every access, so both stay on the paths that
-	// already handle them. Not entering the JIT never changes virtual
-	// state, so the gate is a pure host-speed decision.
+	ob := w.Obs
+	// The trace JIT additionally requires plain (non-speculative) memory
+	// and no observability: chained speculations must log page-view
+	// writes, overlay speculations intercept every access, and the JIT
+	// has no sample-boundary or phase-attribution exits, so all three stay
+	// on the paths that already handle them. Not entering the JIT never
+	// changes virtual state, so the gate is a pure host-speed decision.
 	var jit *jitState
 	var jitHeads []bool
-	if fast && w.spec == nil && w.M.jitHeads != nil {
+	if fast && ob == nil && w.spec == nil && w.M.jitHeads != nil {
 		if w.jit == nil {
 			w.jit = newJITState(w.M)
 		}
@@ -121,7 +131,8 @@ func (w *Worker) Run(budget int64) (ev Event) {
 		}
 
 		d := &dec[pc]
-		if fast && d.runLen > 1 && w.Cycles < deadline-int64(d.runCostButLast) {
+		if fast && d.runLen > 1 && w.Cycles < deadline-int64(d.runCostButLast) &&
+			(ob == nil || w.Cycles+int64(d.runCost) < ob.NextSample) {
 			if sp := w.spec; sp != nil {
 				w.runBlockView(pc, d, sp)
 			} else {
@@ -136,7 +147,7 @@ func (w *Worker) Run(budget int64) (ev Event) {
 		}
 		w.Stats.Instrs++
 		w.Cycles += int64(d.cost)
-		if w.Obs != nil {
+		if ob != nil {
 			w.obsTick(pc, d)
 		}
 		next := pc + 1
@@ -312,11 +323,12 @@ func (w *Worker) magicPC(pc int64) (Event, bool) {
 // starting at pc `start` as one batch: registers and memory update in place,
 // but PC, cycles and the instruction count are written once at the end. The
 // caller has already verified the entire run fits under the budget deadline
-// and that the execution environment is plain (no tracing, observability or
-// speculation), and straightline instructions cannot branch or reach the
-// runtime, so no per-instruction checks are needed and memory is accessed
-// directly with an inline guard check (stores still report to the machine's
-// store hook, exactly as memStore would). The only panics a block can
+// (and before the next profiler sample) and that the execution environment
+// is plain (no tracing or speculation), and straightline instructions cannot
+// branch or reach the runtime, so no per-instruction checks are needed and
+// memory is accessed directly with an inline guard check (stores still
+// report to the machine's store hook, exactly as memStore would). The only
+// panics a block can
 // raise are its own simulated faults, each preceded by blockSync, which
 // synchronizes PC/cycles/instruction count to the exact state the
 // per-instruction path would hold at the trap (the faulting instruction
@@ -423,9 +435,7 @@ func (w *Worker) runBlock(start int64, d0 *decoded) {
 			w.fail(pc, "illegal opcode %v", d.op)
 		}
 	}
-	w.Cycles += int64(d0.runCost)
-	w.Stats.Instrs += int64(d0.runLen)
-	w.PC = end
+	w.blockDone(d0, end)
 }
 
 // runBlockView is runBlock for a chained speculation (specview.go): memory
@@ -544,22 +554,46 @@ func (w *Worker) runBlockView(start int64, d0 *decoded, sp *specState) {
 			w.fail(pc, "illegal opcode %v", d.op)
 		}
 	}
+	w.blockDone(d0, end)
+}
+
+// blockDone commits a completed batch: the run's cycles, instruction count
+// and epilogue-check attribution, charged once, and the new pc.
+func (w *Worker) blockDone(d0 *decoded, end int64) {
 	w.Cycles += int64(d0.runCost)
 	w.Stats.Instrs += int64(d0.runLen)
 	w.PC = end
+	w.batched += int64(d0.runCost)
+	if o := w.Obs; o != nil && d0.runCheckCost != 0 {
+		o.Charge(obs.PhaseEpilogue, int64(d0.runCheckCost))
+	}
 }
+
+// BatchedCycles reports the virtual cycles the worker executed on the
+// batched straight-line tier — a host-side tier-residency diagnostic that
+// includes speculated work, so it may exceed the committed cycles under
+// the speculative engines.
+func (w *Worker) BatchedCycles() int64 { return w.batched }
 
 // blockSync synchronizes the worker's architectural state to the exact
 // per-instruction state at pc inside the batch starting at start: the
 // instructions before pc completed, pc's cost is charged and its execution
 // counted, and w.PC names it. Within a run, runCost is a suffix sum, so the
-// completed prefix costs d0.runCost - d.runCost. Called only on the cold
-// trap paths.
+// completed prefix costs d0.runCost - d.runCost; runCheckCost likewise
+// yields the prefix's epilogue-check cycles, which the per-instruction
+// path would already have attributed. Called only on the cold trap paths.
 func (w *Worker) blockSync(start, pc int64, d0 *decoded) {
 	d := &w.M.dec[pc]
+	done := int64(d0.runCost-d.runCost) + int64(d.cost)
 	w.PC = pc
-	w.Cycles += int64(d0.runCost-d.runCost) + int64(d.cost)
+	w.Cycles += done
 	w.Stats.Instrs += (pc - start) + 1
+	w.batched += done
+	if o := w.Obs; o != nil {
+		if c := int64(d0.runCheckCost-d.runCheckCost) + int64(w.M.checkCost(d)); c != 0 {
+			o.Charge(obs.PhaseEpilogue, c)
+		}
+	}
 }
 
 // blockTrap raises the memory trap the per-instruction path's memLoad or

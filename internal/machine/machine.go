@@ -387,6 +387,11 @@ type Worker struct {
 	// traces), created lazily on the first eligible Run; nil when the JIT
 	// is off. Host-side only: never captured, snapshotted or speculated.
 	jit *jitState
+	// batched counts the virtual cycles this worker executed on the
+	// batched tier (runBlock/runBlockView), speculated segments included.
+	// Host-side tier-residency diagnostic only, like jit: never captured,
+	// snapshotted or restored, and never part of a deterministic artifact.
+	batched int64
 }
 
 func newWorker(m *Machine, id int) *Worker {

@@ -134,10 +134,30 @@ type Collector struct {
 	events   []Event
 	makespan int64
 
-	flat map[string]int64 // per-procedure sampled cycles, leaf only
-	cum  map[string]int64 // per-procedure sampled cycles, anywhere on stack
+	// The profiler accumulates sampled cycles per procedure name. Names are
+	// interned to dense ids so a sample costs slice updates rather than
+	// string hashing and a fresh set: procs holds each id's accumulators,
+	// and descName maps the attached program's descriptor index to its
+	// name id. Names are resolved only when the profile is read (Profile,
+	// ExportState).
+	names    []string
+	nameIDs  map[string]int32
+	procs    []procAcc
+	descName []int32
+	// stamp numbers the samples; procAcc.seen == stamp marks a name the
+	// current sample has already credited to cum.
+	stamp uint64
 	// samples counts profiler samples (one per elapsed period).
 	samples int64
+}
+
+// procAcc is one procedure name's profiler accumulators. The has flags
+// record whether the name is listed in the flat and cumulative profiles,
+// which a name interned by Attach but never sampled is not.
+type procAcc struct {
+	flat, cum       int64 // sampled cycles: leaf only / anywhere on stack
+	hasFlat, hasCum bool
+	seen            uint64
 }
 
 // New creates an empty collector with a fresh metrics registry.
@@ -145,8 +165,7 @@ func New() *Collector {
 	c := &Collector{
 		SamplePeriod: DefaultSamplePeriod,
 		Metrics:      NewRegistry(),
-		flat:         make(map[string]int64),
-		cum:          make(map[string]int64),
+		nameIDs:      make(map[string]int32),
 	}
 	c.StealLatency = c.Metrics.Histogram("steal_latency_cycles")
 	c.ReadyQDepth = c.Metrics.Histogram("readyq_depth")
@@ -157,9 +176,30 @@ func New() *Collector {
 // Attach binds the collector to the program about to run; the profiler
 // resolves sampled pcs against its descriptor table.
 func (c *Collector) Attach(prog *isa.Program) {
-	if c != nil {
-		c.prog = prog
+	if c == nil {
+		return
 	}
+	c.prog = prog
+	c.descName = nil
+	if prog != nil {
+		c.descName = make([]int32, len(prog.Descs))
+		for i, d := range prog.Descs {
+			c.descName[i] = c.intern(d.Name)
+		}
+	}
+}
+
+// intern returns the profiler id of a procedure name, allocating one (with
+// empty accumulators) on first use.
+func (c *Collector) intern(name string) int32 {
+	if id, ok := c.nameIDs[name]; ok {
+		return id
+	}
+	id := int32(len(c.names))
+	c.names = append(c.names, name)
+	c.procs = append(c.procs, procAcc{})
+	c.nameIDs[name] = id
+	return id
 }
 
 // Worker returns (creating on first use) the per-worker accounting state.
@@ -300,18 +340,21 @@ func (o *WorkerObs) AddSample(weight int64, pcs []int64) {
 	o.Samples += weight
 	c.samples += weight
 	cycles := weight * o.Period
-	seen := make(map[string]bool, len(pcs))
+	c.stamp++
 	for i, pc := range pcs {
-		d := c.prog.DescFor(pc)
-		if d == nil {
+		di := c.prog.DescIndex(pc)
+		if di < 0 {
 			continue
 		}
+		p := &c.procs[c.descName[di]]
 		if i == 0 {
-			c.flat[d.Name] += cycles
+			p.flat += cycles
+			p.hasFlat = true
 		}
-		if !seen[d.Name] {
-			seen[d.Name] = true
-			c.cum[d.Name] += cycles
+		if p.seen != c.stamp {
+			p.seen = c.stamp
+			p.cum += cycles
+			p.hasCum = true
 		}
 	}
 }
@@ -327,16 +370,11 @@ type ProcProfile struct {
 // Profile returns the per-procedure profile sorted by flat cycles
 // descending, ties broken by name (deterministic).
 func (c *Collector) Profile() []ProcProfile {
-	names := make(map[string]bool, len(c.cum))
-	for n := range c.flat {
-		names[n] = true
-	}
-	for n := range c.cum {
-		names[n] = true
-	}
-	out := make([]ProcProfile, 0, len(names))
-	for n := range names {
-		out = append(out, ProcProfile{Name: n, Flat: c.flat[n], Cum: c.cum[n]})
+	out := []ProcProfile{}
+	for id, p := range c.procs {
+		if p.hasFlat || p.hasCum {
+			out = append(out, ProcProfile{Name: c.names[id], Flat: p.flat, Cum: p.cum})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Flat != out[j].Flat {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/isa"
 )
 
 func TestPhaseStrings(t *testing.T) {
@@ -127,13 +130,16 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 
 func TestProfileOrderingDeterministic(t *testing.T) {
 	c := New()
-	// Without a program, AddSample must be a safe no-op; with direct map
-	// population we can still check the ordering contract.
+	// Without a program, AddSample must be a safe no-op; with accumulators
+	// installed through ImportState we can still check the ordering contract.
 	c.Worker(0).AddSample(1, []int64{10})
-	c.flat["b"], c.cum["b"] = 50, 80
-	c.flat["a"], c.cum["a"] = 50, 60
-	c.flat["z"], c.cum["z"] = 90, 90
-	c.cum["only-cum"] = 5
+	if err := c.ImportState(&CollectorState{
+		SamplePeriod: DefaultSamplePeriod,
+		Flat:         []NamedValue{{"b", 50}, {"a", 50}, {"z", 90}},
+		Cum:          []NamedValue{{"b", 80}, {"a", 60}, {"z", 90}, {"only-cum", 5}},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	p := c.Profile()
 	got := make([]string, len(p))
 	for i, r := range p {
@@ -251,5 +257,41 @@ func TestWriteReportSumsAndUtilization(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestProfileAccumulation pins the profiler's attribution rules: the leaf
+// procedure gets flat cycles, every procedure on the stack gets cumulative
+// cycles exactly once per sample however often it recurs, pcs outside any
+// procedure are skipped, and the accumulators survive an export/import
+// round trip into a collector that keeps sampling.
+func TestProfileAccumulation(t *testing.T) {
+	prog := &isa.Program{Descs: []*isa.Desc{
+		{Name: "fib", Entry: 0, End: 10},
+		{Name: "main", Entry: 10, End: 20},
+	}}
+	p := int64(DefaultSamplePeriod)
+	c := New()
+	c.Attach(prog)
+	w := c.Worker(0)
+	w.AddSample(1, []int64{3, 5, 5, 12}) // fib recursing under main
+	w.AddSample(2, []int64{12, 99})      // main; 99 is outside every procedure
+	want := []ProcProfile{{Name: "main", Flat: 2 * p, Cum: 3 * p}, {Name: "fib", Flat: p, Cum: p}}
+	if got := c.Profile(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("profile = %+v, want %+v", got, want)
+	}
+
+	r := New()
+	if err := r.ImportState(c.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Profile(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("imported profile = %+v, want %+v", got, want)
+	}
+	r.Attach(prog)
+	r.Worker(0).AddSample(1, []int64{7, 7, 15})
+	want = []ProcProfile{{Name: "fib", Flat: 2 * p, Cum: 2 * p}, {Name: "main", Flat: 2 * p, Cum: 4 * p}}
+	if got := r.Profile(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("profile after resumed sampling = %+v, want %+v", got, want)
 	}
 }

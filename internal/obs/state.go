@@ -54,10 +54,17 @@ type CollectorState struct {
 	Hists        []NamedHist
 }
 
-func sortedValues(m map[string]int64) []NamedValue {
-	out := make([]NamedValue, 0, len(m))
-	for k, v := range m {
-		out = append(out, NamedValue{Name: k, V: v})
+// profileValues lists the profiler's flat (or cumulative) entries sorted
+// by procedure name.
+func (c *Collector) profileValues(flat bool) []NamedValue {
+	out := []NamedValue{}
+	for id, p := range c.procs {
+		switch {
+		case flat && p.hasFlat:
+			out = append(out, NamedValue{Name: c.names[id], V: p.flat})
+		case !flat && p.hasCum:
+			out = append(out, NamedValue{Name: c.names[id], V: p.cum})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -69,8 +76,8 @@ func (c *Collector) ExportState() *CollectorState {
 		SamplePeriod: c.SamplePeriod,
 		Makespan:     c.makespan,
 		Samples:      c.samples,
-		Flat:         sortedValues(c.flat),
-		Cum:          sortedValues(c.cum),
+		Flat:         c.profileValues(true),
+		Cum:          c.profileValues(false),
 	}
 	for _, o := range c.workers {
 		if o == nil {
@@ -129,13 +136,14 @@ func (c *Collector) ImportState(st *CollectorState) error {
 		e.Args = slices.Clone(e.Args)
 		c.events[i] = e
 	}
-	c.flat = make(map[string]int64, len(st.Flat))
+	clear(c.procs)
 	for _, nv := range st.Flat {
-		c.flat[nv.Name] = nv.V
+		p := &c.procs[c.intern(nv.Name)]
+		p.flat, p.hasFlat = nv.V, true
 	}
-	c.cum = make(map[string]int64, len(st.Cum))
 	for _, nv := range st.Cum {
-		c.cum[nv.Name] = nv.V
+		p := &c.procs[c.intern(nv.Name)]
+		p.cum, p.hasCum = nv.V, true
 	}
 	r := c.Metrics
 	for _, nv := range st.Counters {

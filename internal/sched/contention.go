@@ -64,6 +64,14 @@ type Contention struct {
 	// first depends on quantum interleaving, never on virtual state.
 	JITCompiled atomic.Int64
 	JITDeopts   atomic.Int64
+	// BatchedCycles counts the virtual cycles workers executed on the
+	// interpreter's batched straight-line tier (machine.Worker.
+	// BatchedCycles), folded in at run end. It is the tier-residency
+	// signal: a served job whose share here drops to zero has been sent
+	// back to the per-instruction reference tier. Under the speculative
+	// engines it includes speculated segments, so it can exceed the
+	// committed work.
+	BatchedCycles atomic.Int64
 }
 
 // ContentionSnapshot is the JSON form of a Contention read.
@@ -84,8 +92,9 @@ type ContentionSnapshot struct {
 	HostSteals        int64 `json:"host_steals"`
 	HostStealAttempts int64 `json:"host_steal_attempts"`
 
-	JITCompiled int64 `json:"jit_compiled"`
-	JITDeopts   int64 `json:"jit_deopts"`
+	JITCompiled   int64 `json:"jit_compiled"`
+	JITDeopts     int64 `json:"jit_deopts"`
+	BatchedCycles int64 `json:"batched_vcycles"`
 }
 
 // Snapshot reads the counters. The read is per-field atomic, not a
@@ -111,7 +120,8 @@ func (c *Contention) Snapshot() ContentionSnapshot {
 		HostSteals:        c.HostSteals.Load(),
 		HostStealAttempts: c.HostStealAttempts.Load(),
 
-		JITCompiled: c.JITCompiled.Load(),
-		JITDeopts:   c.JITDeopts.Load(),
+		JITCompiled:   c.JITCompiled.Load(),
+		JITDeopts:     c.JITDeopts.Load(),
+		BatchedCycles: c.BatchedCycles.Load(),
 	}
 }

@@ -277,12 +277,14 @@ func (s *scheduler) execute() (*Result, error) {
 		s.res.WorkCycles += w.Cycles
 		s.res.Stats = append(s.res.Stats, w.Stats)
 		if cont := s.cfg.Contention; cont != nil {
-			// Host-side JIT diagnostics ride the contention channel: they
-			// are timing-dependent (which traces turn hot first depends on
-			// the engine's interleaving) and must never enter Result.
+			// Host-side tier diagnostics ride the contention channel: they
+			// are timing-dependent (which traces turn hot first, which
+			// speculated segments run, depends on the engine's
+			// interleaving) and must never enter Result.
 			compiled, deopts := w.JITCounters()
 			cont.JITCompiled.Add(compiled)
 			cont.JITDeopts.Add(deopts)
+			cont.BatchedCycles.Add(w.BatchedCycles())
 		}
 	}
 	s.res.Picks = s.picks

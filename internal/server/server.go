@@ -698,9 +698,10 @@ func (s *Server) Metrics() *serverMetrics { return s.met }
 // server was configured without one).
 func (s *Server) HostSpans() *obs.HostRecorder { return s.host }
 
-// syncObsMetrics folds the pull-style host counters — engine contention and
-// span-ring overwrites — into the metrics registry as gauges, so one scrape
-// (JSON or Prometheus) sees them alongside the push-style serving counters.
+// syncObsMetrics folds the pull-style host counters — engine contention,
+// interpreter-tier residency and span-ring overwrites — into the metrics
+// registry as gauges, so one scrape (JSON or Prometheus) sees them
+// alongside the push-style serving counters.
 // Called on each metrics/debug read; the sources are atomics, so this is a
 // cheap point-in-time copy.
 func (s *Server) syncObsMetrics() {
@@ -719,6 +720,7 @@ func (s *Server) syncObsMetrics() {
 	s.met.Set("chain_discards", cs.ChainDiscards)
 	s.met.Set("host_steals", cs.HostSteals)
 	s.met.Set("host_steal_attempts", cs.HostStealAttempts)
+	s.met.Set("tier_batched_vcycles", cs.BatchedCycles)
 	if s.host != nil {
 		s.met.Set("host_spans_dropped", s.host.Overwritten())
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -410,6 +411,56 @@ func TestPrometheusEndpointLints(t *testing.T) {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Fatalf("exposition missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestServedJobRunsOnBatchedTier: served jobs always carry an obs
+// collector, and that must not send them to the per-instruction reference
+// tier. A single-worker fib job on the sequential engine reports a nonzero
+// batched-tier share of its work cycles in the contention snapshot, the
+// metrics JSON and the Prometheus exposition.
+func TestServedJobRunsOnBatchedTier(t *testing.T) {
+	s := New(Config{HostProcs: 1, CacheEntries: -1})
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	v, _ := postJob(t, ts, "", JobRequest{App: "fib", Workers: 1, Seed: 1, Engine: "sequential", Wait: true})
+	if v.State != StateDone || v.Result == nil {
+		t.Fatalf("job state %q (%s)", v.State, v.Error)
+	}
+	batched := s.DebugSnapshot().Contention.BatchedCycles
+	if batched <= 0 || batched > v.Result.WorkCycles {
+		t.Fatalf("batched-tier cycles = %d of %d work cycles, want a share in (0, 1]", batched, v.Result.WorkCycles)
+	}
+	t.Logf("batched-tier share: %d/%d = %.2f", batched, v.Result.WorkCycles, float64(batched)/float64(v.Result.WorkCycles))
+
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(get("/metrics"), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Gauges["tier_batched_vcycles"]; got != batched {
+		t.Fatalf("metrics JSON tier_batched_vcycles = %d, want %d", got, batched)
+	}
+	prom := get("/metrics?format=prom")
+	if err := obs.CheckExposition(bytes.NewReader(prom)); err != nil {
+		t.Fatalf("exposition lint: %v\n%s", err, prom)
+	}
+	if want := fmt.Sprintf("st_tier_batched_vcycles %d\n", batched); !bytes.Contains(prom, []byte(want)) {
+		t.Fatalf("exposition missing %q:\n%s", want, prom)
 	}
 }
 
