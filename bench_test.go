@@ -134,11 +134,13 @@ func BenchmarkTable2MachineThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineSpeedup runs a Figure-22-scale simulation under the
-// sequential oracle and each host-parallel engine, checks the results are
-// identical, and reports the wall-clock speedup. host-speedup approaches the
-// host's core count on steal-heavy runs and is ~1 on a single-core host;
-// host-cores records the context. On multi-core CI runners the throughput
-// sub-benchmark is gated by an absolute floor (see ci.yml bench-speedup).
+// sequential oracle and the throughput engine, checks the results are
+// identical, and reports the wall-clock speedup. The two legs alternate
+// which runs first on each iteration, so warm-up and cache effects cannot
+// favour either. host-speedup approaches the host's core count on
+// steal-heavy runs and is ~1 on a single-core host; host-cores records the
+// context. On multi-core CI runners the sub-benchmark is gated by an
+// absolute floor (see ci.yml bench-speedup).
 func BenchmarkEngineSpeedup(b *testing.B) {
 	const workers = 16
 	run := func(eng core.Engine) (*core.Result, time.Duration) {
@@ -152,23 +154,27 @@ func BenchmarkEngineSpeedup(b *testing.B) {
 		}
 		return res, time.Since(t0)
 	}
-	for _, eng := range []core.Engine{core.EngineParallel, core.EngineThroughput} {
-		eng := eng
-		b.Run(eng.String(), func(b *testing.B) {
-			var seqT, parT time.Duration
-			for i := 0; i < b.N; i++ {
-				seqRes, st := run(core.EngineSequential)
-				parRes, pt := run(eng)
-				if !reflect.DeepEqual(seqRes, parRes) {
-					b.Fatalf("engines diverged: seq %+v vs %s %+v", seqRes, eng, parRes)
-				}
-				seqT += st
-				parT += pt
+	b.Run(core.EngineThroughput.String(), func(b *testing.B) {
+		var seqT, tpT time.Duration
+		for i := 0; i < b.N; i++ {
+			var seqRes, tpRes *core.Result
+			var st, tt time.Duration
+			if i%2 == 0 {
+				seqRes, st = run(core.EngineSequential)
+				tpRes, tt = run(core.EngineThroughput)
+			} else {
+				tpRes, tt = run(core.EngineThroughput)
+				seqRes, st = run(core.EngineSequential)
 			}
-			b.ReportMetric(seqT.Seconds()/parT.Seconds(), "host-speedup")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "host-cores")
-		})
-	}
+			if !reflect.DeepEqual(seqRes, tpRes) {
+				b.Fatalf("engines diverged: sequential %+v vs throughput %+v", seqRes, tpRes)
+			}
+			seqT += st
+			tpT += tt
+		}
+		b.ReportMetric(seqT.Seconds()/tpT.Seconds(), "host-speedup")
+		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "host-cores")
+	})
 }
 
 func itoa(n int) string {

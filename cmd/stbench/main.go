@@ -55,8 +55,8 @@ func main() {
 		full      = flag.Bool("full", false, "paper-scale inputs (slow); default quick")
 		bench     = flag.String("bench", "", "comma-separated benchmark subset for -fig 21/22")
 		ablate    = flag.Bool("ablate", false, "run the design-choice ablations instead of a figure")
-		engine    = flag.String("engine", "default", "host engine per run: sequential, parallel or throughput")
-		hostprocs = flag.Int("hostprocs", 0, "host cores for fanning data points and the parallel engine (0 = all)")
+		engine    = flag.String("engine", "default", "host engine per run: sequential or throughput")
+		hostprocs = flag.Int("hostprocs", 0, "host cores for fanning data points and the throughput engine (0 = all)")
 		maxcycles = flag.Int64("maxcycles", 0, "per-run total work-cycle budget (0 = unlimited)")
 		audit     = flag.Int64("audit-every", 0, "audit the paper's 3.2 invariants every N scheduler picks inside each run (0 = off)")
 		hotpath   = flag.Bool("hotpath", false, "measure interpreter speed (host-ns per virtual cycle) on the hot-path trio")

@@ -1,6 +1,6 @@
 // Command stfuzz sweeps adversarial stack-safety programs over seed ranges:
 // every seed becomes a hostile-but-well-formed fork-tree program (see
-// internal/advprog) run on all three engines with per-frame canaries armed,
+// internal/advprog) run on both engines with per-frame canaries armed,
 // the Section 3.2 auditor at cadence 1, and a rotating fault plan injected.
 // Any caller-integrity or frame-confidentiality break, result divergence or
 // canary leak fails the sweep.
@@ -25,7 +25,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/advprog"
-	"repro/internal/core"
 )
 
 func main() {
@@ -88,7 +87,7 @@ func run(seed uint64, cls advprog.Class, plan string, workers int) error {
 	p := advprog.FromSeed(seed, cls)
 	return advprog.Verify(p, advprog.VerifyOpts{
 		Workers: workers,
-		Engines: []core.Engine{core.EngineSequential, core.EngineParallel, core.EngineThroughput},
+		Engines: advprog.AllEngines(),
 		Plan:    plan,
 	})
 }

@@ -40,8 +40,8 @@ func main() {
 		chrome    = flag.String("chrome", "", "write Chrome trace_event JSON to this file")
 		metrics   = flag.String("metrics", "", "write the metrics registry snapshot to this file")
 		profile   = flag.Bool("profile", false, "print the phase breakdown and profiler top table")
-		engine    = flag.String("engine", "default", "host engine: sequential, parallel or throughput (identical traces)")
-		hostprocs = flag.Int("hostprocs", 0, "host cores for the parallel engines (0 = all)")
+		engine    = flag.String("engine", "default", "host engine: sequential or throughput (identical traces)")
+		hostprocs = flag.Int("hostprocs", 0, "host cores for the throughput engine (0 = all)")
 	)
 	flag.Parse()
 

@@ -114,7 +114,7 @@ func wantRule(t *testing.T, err error, engine core.Engine, rule string) {
 }
 
 // TestAttackClobberCanary: the cross-frame write must abort the run with
-// a caller-integrity violation on all three engines.
+// a caller-integrity violation on both engines.
 func TestAttackClobberCanary(t *testing.T) {
 	for _, engine := range AllEngines() {
 		wantRule(t, runAttack(t, clobberWorkload(), engine), engine, "caller-integrity")
@@ -123,7 +123,7 @@ func TestAttackClobberCanary(t *testing.T) {
 
 // TestAttackLeakPrivateCanary: the leaked private word sits below the
 // stack top once its frame retires — the final audit must flag
-// frame-confidentiality on all three engines.
+// frame-confidentiality on both engines.
 func TestAttackLeakPrivateCanary(t *testing.T) {
 	for _, engine := range AllEngines() {
 		wantRule(t, runAttack(t, leakWorkload(), engine), engine, "frame-confidentiality")

@@ -12,7 +12,8 @@ import (
 
 // fuzzEngines returns the engine set under test, filtered by the
 // ST_FUZZ_ENGINES environment variable (comma-separated names) so CI can
-// shard the fuzz smoke job per engine. Unset or empty means all three.
+// shard the fuzz smoke job per engine. Unset or empty means both engines;
+// any other name, including the removed parallel engine's, is an error.
 func fuzzEngines() ([]core.Engine, error) {
 	spec := strings.TrimSpace(os.Getenv("ST_FUZZ_ENGINES"))
 	if spec == "" {
@@ -23,19 +24,36 @@ func fuzzEngines() ([]core.Engine, error) {
 		switch strings.TrimSpace(strings.ToLower(name)) {
 		case "sequential":
 			out = append(out, core.EngineSequential)
-		case "parallel":
-			out = append(out, core.EngineParallel)
 		case "throughput":
 			out = append(out, core.EngineThroughput)
 		case "":
 		default:
-			return nil, fmt.Errorf("ST_FUZZ_ENGINES: unknown engine %q", name)
+			return nil, fmt.Errorf("ST_FUZZ_ENGINES: unknown engine %q (valid engines: sequential, throughput)", name)
 		}
 	}
 	if len(out) == 0 {
 		return AllEngines(), nil
 	}
 	return out, nil
+}
+
+// TestFuzzEnginesRejectsUnknown: ST_FUZZ_ENGINES accepts the two engine
+// names and rejects any other, including the removed parallel engine's,
+// with an error listing the valid engines (a sharded CI job naming a
+// missing engine must fail, not silently fuzz the default set).
+func TestFuzzEnginesRejectsUnknown(t *testing.T) {
+	t.Setenv("ST_FUZZ_ENGINES", "throughput, sequential")
+	got, err := fuzzEngines()
+	if err != nil || len(got) != 2 || got[0] != core.EngineThroughput || got[1] != core.EngineSequential {
+		t.Fatalf("fuzzEngines() = %v, %v", got, err)
+	}
+	for _, spec := range []string{`parallel`, `sequential,parallel`, `quantum`} {
+		t.Setenv("ST_FUZZ_ENGINES", spec)
+		if _, err := fuzzEngines(); err == nil ||
+			!strings.Contains(err.Error(), "valid engines: sequential, throughput)") {
+			t.Fatalf("ST_FUZZ_ENGINES=%s: err = %v, want an unknown-engine error", spec, err)
+		}
+	}
 }
 
 // FuzzAdversarial is the native fuzz entry: a failing input is just a

@@ -14,8 +14,8 @@ import (
 type VerifyOpts struct {
 	// Workers is the virtual worker count (default 4).
 	Workers int
-	// Engines lists the engines to run and cross-compare (default all
-	// three).
+	// Engines lists the engines to run and cross-compare (default both:
+	// sequential and throughput).
 	Engines []core.Engine
 	// Plan names a fault preset to inject ("" = fault-free); the plan's
 	// seed is the program seed, so one (seed, classes, plan) triple
@@ -27,7 +27,7 @@ type VerifyOpts struct {
 
 // AllEngines is the default engine set Verify cross-compares.
 func AllEngines() []core.Engine {
-	return []core.Engine{core.EngineSequential, core.EngineParallel, core.EngineThroughput}
+	return []core.Engine{core.EngineSequential, core.EngineThroughput}
 }
 
 // Verify runs the program on every requested engine with the canary map

@@ -58,9 +58,8 @@ func (m Mode) String() string {
 
 // Engine selects the host execution strategy for the parallel modes. Every
 // engine produces byte-identical results (same Result, metrics, events) for
-// the same configuration and seed; the non-sequential engines just use more
-// host cores to get there. See internal/sched/engine_parallel.go and
-// internal/sched/engine_throughput.go.
+// the same configuration and seed; the throughput engine just uses more
+// host cores to get there. See internal/sched/engine_throughput.go.
 type Engine int
 
 // Host execution strategies.
@@ -73,9 +72,6 @@ const (
 	// EngineSequential steps workers one at a time on the calling
 	// goroutine — the reference engine and differential oracle.
 	EngineSequential
-	// EngineParallel speculates worker quanta across host cores and
-	// replays them in the oracle's pick order.
-	EngineParallel
 	// EngineThroughput speculates multi-quantum chains per virtual worker
 	// over per-host-core work-stealing deques — the highest host speedup.
 	EngineThroughput
@@ -85,8 +81,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineSequential:
 		return "sequential"
-	case EngineParallel:
-		return "parallel"
 	case EngineThroughput:
 		return "throughput"
 	}
@@ -100,12 +94,10 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineDefault, nil
 	case "seq", "sequential":
 		return EngineSequential, nil
-	case "par", "parallel":
-		return EngineParallel, nil
 	case "tp", "throughput":
 		return EngineThroughput, nil
 	}
-	return EngineDefault, fmt.Errorf("core: unknown engine %q (valid engines: sequential, parallel, throughput)", s)
+	return EngineDefault, fmt.Errorf("core: unknown engine %q (valid engines: sequential, throughput)", s)
 }
 
 // schedEngine resolves the configured engine to the scheduler's choice,
@@ -121,10 +113,7 @@ func (e Engine) schedEngine() (sched.Engine, error) {
 		}
 		e = env
 	}
-	switch e {
-	case EngineParallel:
-		return sched.EngineParallel, nil
-	case EngineThroughput:
+	if e == EngineThroughput {
 		return sched.EngineThroughput, nil
 	}
 	return sched.EngineSequential, nil
@@ -170,8 +159,8 @@ type Config struct {
 	// unrecognized ST_ENGINE value fails the run). Results are identical
 	// whichever engine runs.
 	Engine Engine
-	// HostProcs caps the host goroutines the parallel and throughput
-	// engines use (default: ST_HOSTPROCS, then runtime.GOMAXPROCS(0)).
+	// HostProcs caps the host goroutines the throughput engine uses
+	// (default: ST_HOSTPROCS, then runtime.GOMAXPROCS(0)).
 	HostProcs int
 	// JIT enables the interpreter's trace JIT (machine/jit.go): hot program
 	// points compile into superblock traces that deoptimize to the
@@ -242,7 +231,7 @@ type Config struct {
 	// serving-side introspection; never changes a run's bytes.
 	Progress *obs.Progress
 	// Contention, when non-nil, collects host-side engine contention
-	// counters (speculation commits/reruns/discards). Host-timing-
+	// counters (chain commits/reruns/discards, host steals). Host-timing-
 	// dependent: diagnostics only, never part of a deterministic artifact.
 	Contention *sched.Contention
 	// Checkpoint, when non-nil, enables pick-boundary continuation capture

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 
 // TestParseEngine is the table test for command-line engine names: every
 // alias maps to its engine, and unknown names fail with an error that lists
-// the valid engines.
+// the valid engines. The removed parallel engine's names are unknown like
+// any other: the error lists only the engines that remain.
 func TestParseEngine(t *testing.T) {
 	for _, tc := range []struct {
 		in      string
@@ -21,13 +23,13 @@ func TestParseEngine(t *testing.T) {
 		{"default", EngineDefault, false},
 		{"seq", EngineSequential, false},
 		{"sequential", EngineSequential, false},
-		{"par", EngineParallel, false},
-		{"parallel", EngineParallel, false},
 		{"tp", EngineThroughput, false},
 		{"throughput", EngineThroughput, false},
 		{"Sequential", EngineDefault, true},
 		{"fast", EngineDefault, true},
 		{"parallel ", EngineDefault, true},
+		{`par`, EngineDefault, true},
+		{`parallel`, EngineDefault, true},
 	} {
 		got, err := ParseEngine(tc.in)
 		if tc.wantErr {
@@ -35,11 +37,7 @@ func TestParseEngine(t *testing.T) {
 				t.Errorf("ParseEngine(%q): no error", tc.in)
 				continue
 			}
-			for _, name := range []string{"sequential", "parallel", "throughput"} {
-				if !strings.Contains(err.Error(), name) {
-					t.Errorf("ParseEngine(%q) error %q does not list %q", tc.in, err, name)
-				}
-			}
+			checkEngineList(t, fmt.Sprintf("ParseEngine(%q)", tc.in), err)
 			continue
 		}
 		if err != nil {
@@ -62,7 +60,6 @@ func TestEngineEnvResolution(t *testing.T) {
 	}{
 		{"", sched.EngineSequential},
 		{"sequential", sched.EngineSequential},
-		{"parallel", sched.EngineParallel},
 		{"throughput", sched.EngineThroughput},
 	} {
 		t.Setenv("ST_ENGINE", tc.env)
@@ -81,17 +78,32 @@ func TestEngineEnvResolution(t *testing.T) {
 		t.Fatalf("explicit engine consulted ST_ENGINE: %v, %v", got, err)
 	}
 
-	// An unknown forced engine must fail the run — whatever the mode — not
-	// silently run sequentially.
-	for _, mode := range []Mode{Sequential, StackThreads, Cilk} {
-		_, err := Run(apps.Fib(5, apps.ST), Config{Mode: mode, Workers: 2})
-		if err == nil {
-			t.Fatalf("mode=%v: run with ST_ENGINE=garbage succeeded", mode)
-		}
-		for _, name := range []string{"ST_ENGINE", "sequential", "parallel", "throughput"} {
-			if !strings.Contains(err.Error(), name) {
-				t.Fatalf("mode=%v: error %q does not mention %q", mode, err, name)
+	// An unknown forced engine — including the removed parallel engine's
+	// names — must fail the run, whatever the mode, not silently run
+	// sequentially.
+	for _, env := range []string{"garbage", `par`, `parallel`} {
+		t.Setenv("ST_ENGINE", env)
+		for _, mode := range []Mode{Sequential, StackThreads, Cilk} {
+			_, err := Run(apps.Fib(5, apps.ST), Config{Mode: mode, Workers: 2})
+			if err == nil {
+				t.Fatalf("mode=%v: run with ST_ENGINE=%s succeeded", mode, env)
 			}
+			where := fmt.Sprintf("mode=%v ST_ENGINE=%s", mode, env)
+			if !strings.Contains(err.Error(), "ST_ENGINE") {
+				t.Fatalf("%s: error %q does not mention ST_ENGINE", where, err)
+			}
+			checkEngineList(t, where, err)
 		}
+	}
+}
+
+// checkEngineList asserts an unknown-engine error is the typed rejection
+// listing exactly the remaining engines: sequential and throughput, never
+// the removed parallel engine.
+func checkEngineList(t *testing.T, where string, err error) {
+	t.Helper()
+	_, list, ok := strings.Cut(err.Error(), "valid engines: ")
+	if !ok || !strings.HasPrefix(list, "sequential, throughput)") {
+		t.Errorf("%s: error %q does not list exactly the valid engines", where, err)
 	}
 }

@@ -13,8 +13,9 @@
 //     pick boundaries, which both engines visit in the same order.
 //
 //   - Host-transparent faults (forced speculation aborts) perturb only the
-//     host execution strategy. The parallel engine already treats every
-//     speculation as disposable, so forcing aborts changes no output byte.
+//     host execution strategy. The throughput engine already treats every
+//     speculated chain segment as disposable, so forcing aborts changes no
+//     output byte; the sequential engine never consults the site.
 //
 //   - Serving faults (executor panics, latency spikes) perturb the stserve
 //     host path and never touch a simulation. Decisions are a stateless
@@ -51,7 +52,7 @@ type Plan struct {
 	StallPct         int   // picked worker stalls (memory system hiccup)
 	StallCycles      int64 // stall length in cycles (default 2000)
 
-	// Host-transparent faults — perturb the parallel engine only.
+	// Host-transparent faults — perturb the throughput engine only.
 	SpecAbortPct int // speculation validation forced to fail
 
 	// Serving faults — stserve executor path only.
@@ -270,8 +271,8 @@ func (f *Injector) Stall() int64 {
 	return f.plan.StallCycles
 }
 
-// ForceSpecAbort reports whether the parallel engine must discard the
-// speculation it is validating (host-transparent: a forced abort reruns
+// ForceSpecAbort reports whether the throughput engine must discard the
+// chain segment it is validating (host-transparent: a forced abort reruns
 // the quantum non-speculatively, changing no output byte).
 func (f *Injector) ForceSpecAbort() bool {
 	if f == nil {

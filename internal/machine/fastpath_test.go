@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -188,10 +189,12 @@ func TestFastPathTrapStateExact(t *testing.T) {
 }
 
 // TestSpeculationFastPathCoherence drives the decode cache through the
-// speculation substrate: a speculative quantum (which runs per-instruction,
-// since the fast path is gated off under w.spec) must restore the exact
-// pre-quantum state, its commit must land the worker in the same state as a
-// direct fast-path run, and a forbidden-operation abort must leave no trace.
+// speculation substrate: a chain segment (which batches through
+// runBlockView against the chain's page view) must leave the exact launch
+// state behind once the chain finishes, its commit must land the worker and
+// shared memory in the same state as a direct batched run of the same
+// budget, and a forbidden-operation abort must kill the chain and leave no
+// trace.
 func TestSpeculationFastPathCoherence(t *testing.T) {
 	prog := compileUnit(t, func(u *asm.Unit) {
 		b := u.Proc("main", 0, 2)
@@ -214,41 +217,74 @@ func TestSpeculationFastPathCoherence(t *testing.T) {
 
 	mDirect, wDirect := startWorker(t, prog, Options{})
 	mSpec, wSpec := startWorker(t, prog, Options{})
+	var directPages []int64
+	mDirect.SetStoreHook(func(a int64) {
+		if p := a >> ChainPageShift; len(directPages) == 0 || directPages[len(directPages)-1] != p {
+			directPages = append(directPages, p)
+		}
+	})
+	shared := slices.Clone(mSpec.Mem.Words())
 
-	// 1. A successful quantum restores the launch state exactly.
+	// 1. A successful segment leaves the launch state behind once the chain
+	// finishes, and none of its stores reach shared memory.
 	pre := wSpec.capture()
-	res := wSpec.Speculate(300)
-	if res == nil {
-		t.Fatal("Speculate(300) aborted; the quantum contains no forbidden op")
+	c := wSpec.BeginChain()
+	seg := c.RunSegment(300)
+	if seg == nil {
+		t.Fatal("RunSegment(300) aborted; the quantum contains no forbidden op")
 	}
-	if res.Ev != EvBudget {
-		t.Fatalf("quantum event %v, want EvBudget", res.Ev)
+	if seg.Ev != EvBudget {
+		t.Fatalf("quantum event %v, want EvBudget", seg.Ev)
 	}
+	if wSpec.BatchedCycles() == 0 {
+		t.Fatal("the segment never entered the batched tier")
+	}
+	c.Finish()
 	if wSpec.PC != pre.pc || wSpec.Cycles != pre.cycles || wSpec.Regs != pre.regs || wSpec.Stats != pre.stats {
-		t.Fatalf("Speculate did not restore the launch state: pc=%d/%d cycles=%d/%d",
+		t.Fatalf("Finish did not restore the launch state: pc=%d/%d cycles=%d/%d",
 			wSpec.PC, pre.pc, wSpec.Cycles, pre.cycles)
 	}
-	if got := mSpec.Mem.Words()[mem.Guard]; got != 0 {
-		t.Fatalf("speculative stores leaked to shared memory: cell = %d", got)
+	if !slices.Equal(mSpec.Mem.Words(), shared) {
+		t.Fatalf("speculative stores leaked to shared memory: cell = %d", mSpec.Mem.Words()[mem.Guard])
+	}
+	if len(seg.st.wlog) == 0 {
+		t.Fatal("the segment logged no stores")
 	}
 
-	// 2. Committing the quantum matches a direct (batched) run of the same
-	// budget, including the flushed overlay stores.
-	wSpec.CommitSpec(res)
+	// 2. Committing the segment matches a direct (batched) run of the same
+	// budget, including the flushed write log: shared memory must be equal
+	// word for word, and the flush must report exactly the pages the direct
+	// run stored to.
+	var flushed []int64
+	c.CommitSeg(seg, func(p int64) { flushed = append(flushed, p) })
 	if ev := wDirect.Run(300); ev != EvBudget {
 		t.Fatalf("direct run event %v, want EvBudget", ev)
 	}
 	diffWorker(t, "after commit", wSpec, wDirect)
-	if a, b := mSpec.Mem.Words()[mem.Guard], mDirect.Mem.Words()[mem.Guard]; a != b {
-		t.Fatalf("heap cell diverged after commit: spec=%d direct=%d", a, b)
+	if !slices.Equal(mSpec.Mem.Words(), mDirect.Mem.Words()) {
+		t.Fatalf("shared memory diverged after commit: spec cell=%d direct cell=%d",
+			mSpec.Mem.Words()[mem.Guard], mDirect.Mem.Words()[mem.Guard])
 	}
+	if !slices.Equal(flushed, directPages) {
+		t.Fatalf("flushed pages %v, direct run stored to pages %v", flushed, directPages)
+	}
+	mDirect.SetStoreHook(nil)
 
-	// 3. A quantum that reaches the forbidden builtin aborts and leaves the
-	// committed state untouched.
-	if res := wSpec.Speculate(math.MaxInt64); res != nil {
-		t.Fatalf("Speculate over the rand call returned %+v, want abort", res)
+	// 3. A segment that reaches the forbidden builtin aborts, kills the
+	// chain, and leaves the committed state untouched.
+	committed := slices.Clone(mSpec.Mem.Words())
+	c = wSpec.BeginChain()
+	if seg := c.RunSegment(math.MaxInt64); seg != nil {
+		t.Fatalf("RunSegment over the rand call returned %+v, want abort", seg)
 	}
+	if seg := c.RunSegment(300); seg != nil {
+		t.Fatal("a dead chain produced another segment")
+	}
+	c.Finish()
 	diffWorker(t, "after abort", wSpec, wDirect)
+	if !slices.Equal(mSpec.Mem.Words(), committed) {
+		t.Fatal("an aborted segment changed shared memory")
+	}
 
 	// 4. Both machines finish identically.
 	evS, evD := wSpec.Run(math.MaxInt64), wDirect.Run(math.MaxInt64)

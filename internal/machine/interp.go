@@ -68,19 +68,17 @@ func (w *Worker) Run(budget int64) (ev Event) {
 	// honored as a second deadline (ob.NextSample below). Plain execution
 	// batches through runBlock (direct memory, inline store-hook calls); a
 	// chained speculation batches through runBlockView (page-view memory
-	// with a write log). The overlay-based single-quantum speculation has
-	// no batched equivalent and stays on the per-instruction path.
-	// Everything the batch skips is observationally redundant, so turning
-	// it off (NoFastPath) changes nothing but host speed.
-	fast := !w.M.Opts.NoFastPath && w.M.Opts.Trace == nil &&
-		(w.spec == nil || w.spec.view != nil)
+	// with a write log). Everything the batch skips is observationally
+	// redundant, so turning it off (NoFastPath) changes nothing but host
+	// speed.
+	fast := !w.M.Opts.NoFastPath && w.M.Opts.Trace == nil
 	ob := w.Obs
 	// The trace JIT additionally requires plain (non-speculative) memory
 	// and no observability: chained speculations must log page-view
-	// writes, overlay speculations intercept every access, and the JIT
-	// has no sample-boundary or phase-attribution exits, so all three stay
-	// on the paths that already handle them. Not entering the JIT never
-	// changes virtual state, so the gate is a pure host-speed decision.
+	// writes, and the JIT has no sample-boundary or phase-attribution
+	// exits, so both stay on the paths that already handle them. Not
+	// entering the JIT never changes virtual state, so the gate is a pure
+	// host-speed decision.
 	var jit *jitState
 	var jitHeads []bool
 	if fast && ob == nil && w.spec == nil && w.M.jitHeads != nil {

@@ -37,11 +37,10 @@ import (
 // artifacts are byte-identical with it on or off.
 //
 // Speculation: chained-speculation quanta execute against page-granular
-// private views with write logging, and overlay speculation has no batch
-// equivalent at all, so the JIT is gated off whenever w.spec != nil (the
-// same reasoning that keeps runBlock plain). Spec views thus keep seeing
-// every write through their own path; the JIT never bypasses them because
-// it never runs under them.
+// private views with write logging, so the JIT is gated off whenever
+// w.spec != nil (the same reasoning that keeps runBlock plain). Spec views
+// thus keep seeing every write through their own path; the JIT never
+// bypasses them because it never runs under them.
 
 const (
 	// jitHotThreshold is the arrival count at which a head pc compiles.

@@ -12,8 +12,8 @@ import (
 // This file implements pick-boundary continuation capture and resumption —
 // the paper's suspend/restart lifted from threads to whole runs. Every
 // engine calls checkAbort with the picked worker, in the same pick sequence,
-// while the machine is quiescent (the parallel engines are bulk-synchronous:
-// speculations run strictly between picks and the workers always hold the
+// while the machine is quiescent (the throughput engine is bulk-synchronous:
+// chains run strictly between picks and the workers always hold the
 // sequential oracle's state at the boundary). A state captured there and
 // later restored into an identically constructed machine continues
 // byte-identically to the undisturbed run, on any engine.

@@ -9,11 +9,11 @@ import (
 	"repro/internal/machine"
 )
 
-// This file is the throughput engine. Like the parallel engine it is
-// result-deterministic — byte-identical Result, metrics, events and output
-// to the sequential oracle for every configuration and seed — but it
-// extracts real host speedup by speculating *chains* of quanta per virtual
-// worker and distributing them over per-host-core work-stealing deques:
+// This file is the throughput engine. It is result-deterministic —
+// byte-identical Result, metrics, events and output to the sequential
+// oracle for every configuration and seed — but it extracts real host
+// speedup by speculating *chains* of quanta per virtual worker and
+// distributing them over per-host-core work-stealing deques:
 //
 // Launch phase (bulk-synchronous, coordinator blocked). Every running
 // worker without a live chain starts one (machine.Worker.BeginChain): a
@@ -23,10 +23,10 @@ import (
 // deques; each host worker runs chains from its own deque top and steals
 // from other deques' bottoms when it drains — LTC's steal-the-oldest,
 // lifted onto host threads (§4.2). During the phase no shared state is
-// written (speculative stores go to private pages + a write log; every
-// worker is restored to its launch state before the phase ends), so it is
-// read-only and race-free by construction — the parallel engine's epoch
-// argument, extended from one quantum to many.
+// written (speculative stores go to private pages + a write log, thunk
+// consumption is logged rather than performed, observability emissions
+// are buffered, and every worker is restored to its launch state before
+// the phase ends), so it is read-only and race-free by construction.
 //
 // Replay phase (coordinator only). The coordinator runs the exact
 // sequential pick loop. At a running worker's pick, its chain's next
@@ -35,11 +35,14 @@ import (
 //
 //  1. no conflict: no address in any page the chain touched has been
 //     stored to since launch, except by the chain's own earlier commits.
-//     The engine keeps a page → chain-slot bitmask index; the machine's
-//     store hook marks every non-speculative store's page, and commit
-//     flushes mark pages against every *other* chain. Pages are a strict
-//     superset of the parallel engine's per-address read log, so this is
-//     conservative in the safe direction;
+//     The view privatizes a page on the first load *or* store into it, so
+//     the touched pages cover every address the segment loaded or stored
+//     — everything its outcome can depend on in shared memory. The engine
+//     keeps a page → chain-slot bitmask index; the machine's store hook
+//     marks every non-speculative store's page, and commit flushes mark
+//     pages against every *other* chain. Pages over-approximate the
+//     addresses actually read, which is conservative in the safe
+//     direction (false sharing costs commits, never correctness);
 //  2. the worker still holds the state the segment started from (clock and
 //     poll signal — the scheduler advances a running worker in no other
 //     way), which also chains segment k to segment k-1's committed state;
@@ -57,19 +60,23 @@ import (
 // control to scheduler code whose effects (and cycle charges) are
 // coordinator-side, so speculating past one cannot match.
 //
-// Since every pick either reruns the quantum directly or commits a segment
-// proven equal to that rerun, the induction of engine_parallel.go applies
-// unchanged and the engine is byte-identical to the oracle. What changed
-// is the speedup model: a chain is many quanta long, executes through the
-// interpreter's batched fast path (runBlockView), and its adoptions cost
-// only a state swap plus a write-log flush — so between launches the
-// coordinator mostly adopts instead of executing, and the host cores do
-// the real work in parallel.
+// Correctness, by induction over picks: every pick either reruns the
+// quantum directly or commits a segment proven equal to that rerun, so
+// after each pick the machine holds exactly the sequential oracle's state,
+// and the engine's sequence of state transitions — hence Result, metrics,
+// events and output — is byte-identical to the oracle's. Correctness
+// never depends on a speculation succeeding. The speedup model: a chain is
+// many quanta long, executes through the interpreter's batched fast path
+// (runBlockView), and its adoptions cost only a state swap plus a
+// write-log flush — so between launches the coordinator mostly adopts
+// instead of executing, and the host cores do the real work in parallel.
 //
-// Cilk steals are thief-driven and mutate running victims without touching
-// their clocks, so — as in the parallel engine — a successful Cilk steal
-// discards every outstanding chain. ST-mode steals raise the victim's poll
-// signal, which check 2 catches.
+// Cilk steals are thief-driven and mutate running victims (a ready-queue
+// pop or a direct stack detach) without touching their clocks, which
+// check 2 cannot see; a later commit or restore of the victim's chain
+// would resurrect the stolen work, so a successful Cilk steal discards
+// every outstanding chain. ST-mode steals only post a request and raise
+// the victim's poll signal, which check 2 catches.
 
 // testHookChainStats, when set (white-box tests only), receives the
 // throughput engine's segment outcome counts when its loop returns.

@@ -102,7 +102,7 @@ func resumeFrom(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers 
 	return diffRun{res: res, events: events.Sorted(), out: out.Bytes(), obs: obsDump(collector)}
 }
 
-var rtEngines = []core.Engine{core.EngineSequential, core.EngineParallel, core.EngineThroughput}
+var rtEngines = []core.Engine{core.EngineSequential, core.EngineThroughput}
 
 // TestRoundTripEveryBoundary sweeps every pick boundary of one small run:
 // capture → encode → decode → restore → run must reproduce the undisturbed
@@ -162,9 +162,10 @@ func TestRoundTripMatrix(t *testing.T) {
 						rng := rand.New(rand.NewSource(int64(seed)<<8 | int64(wi)))
 						// Rotate engine pairs across tuples so the full
 						// capture×resume cross product is covered without
-						// running all nine pairs on every tuple.
-						capEng := rtEngines[tuple%3]
-						resEng := rtEngines[(tuple/3+tuple)%3]
+						// running all four pairs on every tuple.
+						n := len(rtEngines)
+						capEng := rtEngines[tuple%n]
+						resEng := rtEngines[(tuple/n+tuple)%n]
 						for _, pair := range [][2]core.Engine{
 							{core.EngineSequential, core.EngineSequential},
 							{capEng, resEng},
@@ -202,8 +203,8 @@ func TestRoundTripRandprog(t *testing.T) {
 		picks := undisturbed.res.Picks
 		for i := 0; i < 2; i++ {
 			pick := 1 + rng.Int63n(picks)
-			capEng := rtEngines[int(seed+int64(i))%3]
-			resEng := rtEngines[int(seed+int64(i)+1)%3]
+			capEng := rtEngines[int(seed+int64(i))%len(rtEngines)]
+			resEng := rtEngines[int(seed+int64(i)+1)%len(rtEngines)]
 			ctx := fmt.Sprintf("randtree seed=%d workers=%d pick=%d/%d cap=%v", seed, workers, pick, picks, capEng)
 			enc := captureAt(t, mk, core.StackThreads, workers, uint64(seed), capEng, pick)
 			got := resumeFrom(t, mk, core.StackThreads, workers, uint64(seed), resEng, enc)
@@ -221,7 +222,7 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 	}
 	mk := func() *apps.Workload { return apps.Fib(14, apps.ST) }
 	const mode, workers, seed = core.StackThreads, 4, 3
-	undisturbed := runEngine(t, mk, mode, workers, seed, core.EngineParallel)
+	undisturbed := runEngine(t, mk, mode, workers, seed, core.EngineThroughput)
 
 	// Checkpointing run: the sink serializes each boundary together with the
 	// partial artifacts at that instant, exactly as the server's sink does.
@@ -229,7 +230,7 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 	var events sched.EventLog
 	var out bytes.Buffer
 	collector := obs.New()
-	cfg := rtConfig(mode, workers, seed, core.EngineParallel, &events, collector, &out)
+	cfg := rtConfig(mode, workers, seed, core.EngineThroughput, &events, collector, &out)
 	var stored [][]byte
 	cfg.Checkpoint = &sched.Checkpoint{
 		EveryCycles: undisturbed.res.WorkCycles / 5,
@@ -257,14 +258,14 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 	// The checkpointing run itself must be byte-identical to the undisturbed
 	// one — capture is pure observation.
 	withCkpt := diffRun{res: res, events: events.Sorted(), out: out.Bytes(), obs: obsDump(collector)}
-	diffCompare(t, "checkpointing run", core.EngineParallel, undisturbed, withCkpt)
+	diffCompare(t, "checkpointing run", core.EngineThroughput, undisturbed, withCkpt)
 	if len(stored) < 2 {
 		t.Fatalf("expected several periodic checkpoints, got %d", len(stored))
 	}
 	for i, enc := range stored {
-		got := resumeFrom(t, mk, mode, workers, seed, rtEngines[i%3], enc)
+		got := resumeFrom(t, mk, mode, workers, seed, rtEngines[i%len(rtEngines)], enc)
 		diffCompare(t, fmt.Sprintf("resume from checkpoint %d/%d", i+1, len(stored)),
-			rtEngines[i%3], undisturbed, got)
+			rtEngines[i%len(rtEngines)], undisturbed, got)
 	}
 }
 

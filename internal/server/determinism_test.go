@@ -14,7 +14,7 @@ import (
 
 // TestServingPathDeterminism is the serving-path determinism contract: a
 // job served cold, the same tuple served from the cache, and the same tuple
-// re-executed by the parallel engine with the cache bypassed all return
+// re-executed by the throughput engine with the cache bypassed all return
 // byte-identical Result, metrics, profile, and trace — and all match a
 // direct core.Run with an obs collector, outside the server entirely.
 func TestServingPathDeterminism(t *testing.T) {
@@ -37,8 +37,6 @@ func TestServingPathDeterminism(t *testing.T) {
 	base := JobRequest{App: "fib", Mode: "st", Workers: 4, Seed: 3}
 	cold := submit(base)
 	hit := submit(base)
-	par := submit(JobRequest{App: "fib", Mode: "st", Workers: 4, Seed: 3,
-		Engine: "parallel", NoCache: true})
 	tp := submit(JobRequest{App: "fib", Mode: "st", Workers: 4, Seed: 3,
 		Engine: "throughput", NoCache: true})
 
@@ -83,7 +81,6 @@ func TestServingPathDeterminism(t *testing.T) {
 	}
 	check("cold", cold)
 	check("cache-hit", hit)
-	check("parallel-engine", par)
 	check("throughput-engine", tp)
 }
 

@@ -41,7 +41,7 @@ type JobRequest struct {
 	FaultPlan string `json:"fault_plan,omitempty"`
 
 	// Serving directives.
-	Engine    string `json:"engine,omitempty"` // sequential | parallel | throughput (identical bytes)
+	Engine    string `json:"engine,omitempty"` // sequential | throughput (identical bytes)
 	HostProcs int    `json:"hostprocs,omitempty"`
 	Priority  int    `json:"priority,omitempty"` // higher dispatches first; FIFO within a class
 	TimeoutMs int64  `json:"timeout_ms,omitempty"`
@@ -102,7 +102,7 @@ func (r *JobRequest) normalize() error {
 
 // Key is the canonical cache key: exactly the fields that determine the
 // run's bytes, in a fixed order. The engine is deliberately absent — every
-// engine (sequential, parallel, throughput) produces byte-identical output
+// engine (sequential, throughput) produces byte-identical output
 // for the same tuple, so a result computed by any serves requests for all.
 // The fault plan is present:
 // virtual faults deterministically reshape the schedule. The audit cadence
@@ -172,8 +172,8 @@ type ExecOpts struct {
 	// Progress, when non-nil, receives the run's live advancement (work
 	// cycles, picks) at scheduler pick boundaries.
 	Progress *obs.Progress
-	// Contention, when non-nil, accumulates parallel-engine speculation
-	// counters (epochs, commits, reruns, discards).
+	// Contention, when non-nil, accumulates throughput-engine speculation
+	// counters (epochs, commits, reruns, discards, host steals).
 	Contention *sched.Contention
 
 	// Checkpoints, when non-nil, persists the run's continuation every

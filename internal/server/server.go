@@ -86,8 +86,8 @@ type Config struct {
 	// across host cores (default hostpar.Procs(0), i.e. GOMAXPROCS).
 	HostProcs int
 	// DefaultEngine, when non-empty, is the execution engine applied to
-	// jobs that leave the request's engine unset ("sequential", "parallel"
-	// or "throughput"). Empty keeps the process default (ST_ENGINE, then
+	// jobs that leave the request's engine unset ("sequential" or
+	// "throughput"). Empty keeps the process default (ST_ENGINE, then
 	// sequential). Engines are result-equivalent, so this only shifts host
 	// wall-clock, never a job's bytes or its cache key.
 	DefaultEngine string
@@ -706,11 +706,6 @@ func (s *Server) HostSpans() *obs.HostRecorder { return s.host }
 // cheap point-in-time copy.
 func (s *Server) syncObsMetrics() {
 	cs := s.cont.Snapshot()
-	s.met.Set("spec_epochs", cs.SpecEpochs)
-	s.met.Set("spec_launched", cs.SpecLaunched)
-	s.met.Set("spec_commits", cs.SpecCommits)
-	s.met.Set("spec_reruns", cs.SpecReruns)
-	s.met.Set("spec_discards", cs.SpecDiscards)
 	s.met.Set("spec_serial_fallbacks", cs.SerialFallbacks)
 	s.met.Set("chain_epochs", cs.ChainEpochs)
 	s.met.Set("chains_launched", cs.ChainsLaunched)

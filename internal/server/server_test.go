@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -97,6 +98,44 @@ func TestSubmitValidation(t *testing.T) {
 		if _, err := s.Submit(req); err == nil {
 			t.Fatalf("bad request %+v accepted", req)
 		}
+	}
+}
+
+// TestRemovedEngineRejected pins the removed parallel engine as an ordinary
+// unknown engine at the wire: a request naming it (or its short alias) gets
+// a 400 whose message lists the engines that remain, and is never enqueued.
+func TestRemovedEngineRejected(t *testing.T) {
+	s := New(Config{QueueBound: 8, HostProcs: 1, CacheEntries: -1})
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, name := range []string{`par`, `parallel`} {
+		body, err := json.Marshal(JobRequest{App: "fib", Engine: name, Wait: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ev errView
+		err = json.NewDecoder(resp.Body).Decode(&ev)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("engine %q: status = %d, want 400", name, resp.StatusCode)
+		}
+		if !strings.Contains(ev.Error, "valid engines: sequential, throughput)") {
+			t.Fatalf("engine %q: error %q does not list the remaining engines", name, ev.Error)
+		}
+	}
+	if st := s.Stats(); st.Accepted != 0 {
+		t.Fatalf("rejected requests were enqueued: accepted = %d", st.Accepted)
+	}
+	if n := s.queue.Len(); n != 0 {
+		t.Fatalf("queue holds %d jobs after rejections", n)
 	}
 }
 

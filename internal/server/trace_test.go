@@ -407,7 +407,7 @@ func TestPrometheusEndpointLints(t *testing.T) {
 	if err := obs.CheckExposition(bytes.NewReader(body)); err != nil {
 		t.Fatalf("exposition lint: %v\n%s", err, body)
 	}
-	for _, want := range []string{"st_jobs_accepted_total", "st_queue_wait_us_bucket", "st_spec_epochs"} {
+	for _, want := range []string{"st_jobs_accepted_total", "st_queue_wait_us_bucket", "st_chain_epochs"} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Fatalf("exposition missing %q:\n%s", want, body)
 		}
@@ -469,7 +469,7 @@ func TestServedJobRunsOnBatchedTier(t *testing.T) {
 // recorder + structured logging) and on a bare one yields byte-identical
 // deterministic artifacts.
 func TestTracingDoesNotPerturbArtifacts(t *testing.T) {
-	req := JobRequest{App: "fib", Workers: 4, Seed: 7, Engine: "parallel"}
+	req := JobRequest{App: "fib", Workers: 4, Seed: 7, Engine: "throughput"}
 
 	run := func(cfg Config) *JobOutput {
 		t.Helper()
