@@ -25,7 +25,7 @@ import (
 // runHotPath measures raw interpreter speed — host nanoseconds per simulated
 // cycle — on the same three single-worker workloads the BenchmarkHotPath
 // micro-benchmarks and the bench-hotpath CI gate use (see DESIGN.md §14).
-func runHotPath(jit bool) error {
+func runHotPath() error {
 	const rounds = 3
 	for _, wl := range []*apps.Workload{
 		apps.Fib(22, apps.ST),
@@ -35,7 +35,7 @@ func runHotPath(jit bool) error {
 		var hostNS, vcycles int64
 		for i := 0; i < rounds; i++ {
 			t0 := time.Now()
-			res, err := core.Run(wl, core.Config{Mode: core.StackThreads, Workers: 1, Seed: 1, JIT: jit})
+			res, err := core.Run(wl, core.Config{Mode: core.StackThreads, Workers: 1, Seed: 1})
 			if err != nil {
 				return fmt.Errorf("%s: %w", wl.Name, err)
 			}
@@ -60,12 +60,11 @@ func main() {
 		maxcycles = flag.Int64("maxcycles", 0, "per-run total work-cycle budget (0 = unlimited)")
 		audit     = flag.Int64("audit-every", 0, "audit the paper's 3.2 invariants every N scheduler picks inside each run (0 = off)")
 		hotpath   = flag.Bool("hotpath", false, "measure interpreter speed (host-ns per virtual cycle) on the hot-path trio")
-		jit       = flag.Bool("jit", false, "enable the interpreter trace JIT per run (identical results; host speed only)")
 	)
 	flag.Parse()
 
 	if *hotpath {
-		if err := runHotPath(*jit); err != nil {
+		if err := runHotPath(); err != nil {
 			fmt.Fprintln(os.Stderr, "stbench:", err)
 			os.Exit(1)
 		}
@@ -77,7 +76,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stbench:", err)
 		os.Exit(2)
 	}
-	opts := figures.Opts{HostProcs: *hostprocs, Engine: eng, MaxWorkCycles: *maxcycles, AuditEvery: *audit, JIT: *jit}
+	opts := figures.Opts{HostProcs: *hostprocs, Engine: eng, MaxWorkCycles: *maxcycles, AuditEvery: *audit}
 
 	sc := figures.Quick
 	if *full {

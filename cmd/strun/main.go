@@ -41,7 +41,6 @@ func main() {
 		maxcycles = flag.Int64("maxcycles", 0, "abort after this many total work cycles (0 = unlimited)")
 		faultFlag = flag.String("fault", "", "deterministic fault plan, name[:seed] (see -list-faults)")
 		listF     = flag.Bool("list-faults", false, "list named fault plans and exit")
-		jit       = flag.Bool("jit", false, "enable the interpreter trace JIT (identical results; host speed only)")
 	)
 	auditEvery, audit := addAuditFlags(flag.CommandLine)
 	flag.Parse()
@@ -89,7 +88,6 @@ func main() {
 		MaxWorkCycles:   *maxcycles,
 		Fault:           inj,
 		Audit:           aud,
-		JIT:             *jit,
 		Out:             os.Stdout,
 	}
 	switch *mode {

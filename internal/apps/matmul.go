@@ -98,10 +98,10 @@ func addRowKernel(u *asm.Unit, poll bool) {
 
 	b.Bind(iLoop)
 	b.Bge(isa.R7, isa.R4, iDone)
-	b.Const(isa.T4, 0) // k
+	b.Const(isa.R0, 0) // k: env is dead, and k must survive the poll in R0..R7
 
 	b.Bind(kLoop)
-	b.Bge(isa.T4, isa.R6, kDone)
+	b.Bge(isa.R0, isa.R6, kDone)
 	if poll {
 		// k-loop back-edge: bounds the poll gap at one j-row of work
 		// (Feeley's method strip-mines polls to a few hundred instructions).
@@ -109,13 +109,13 @@ func addRowKernel(u *asm.Unit, poll bool) {
 	}
 	// aik = A[i*n + k]
 	b.Mul(isa.T0, isa.R7, isa.R6)
-	b.Add(isa.T0, isa.T0, isa.T4)
+	b.Add(isa.T0, isa.T0, isa.R0)
 	b.Add(isa.T0, isa.T0, isa.R2)
 	b.Load(isa.T5, isa.T0, 0) // aik bits
 	// row pointers: Crow = C + i*n, Brow = B + k*n
 	b.Mul(isa.T0, isa.R7, isa.R6)
 	b.Add(isa.T0, isa.T0, isa.R1) // C row cursor
-	b.Mul(isa.T1, isa.T4, isa.R6)
+	b.Mul(isa.T1, isa.R0, isa.R6)
 	b.Add(isa.T1, isa.T1, isa.R5) // B row cursor
 	b.Const(isa.T6, 0)            // j
 
@@ -132,7 +132,7 @@ func addRowKernel(u *asm.Unit, poll bool) {
 	b.Jmp(jLoop)
 
 	b.Bind(jDone)
-	b.AddI(isa.T4, isa.T4, 1)
+	b.AddI(isa.R0, isa.R0, 1)
 	b.Jmp(kLoop)
 
 	b.Bind(kDone)
@@ -434,20 +434,20 @@ func addKSliceKernel(u *asm.Unit, poll bool) {
 
 	b.Bind(iLoop)
 	b.Bge(isa.R7, isa.R6, iDone)
-	b.Mov(isa.T4, isa.R2) // k = kLo
+	b.Mov(isa.R0, isa.R2) // k = kLo: env is dead, and k must survive the poll in R0..R7
 
 	b.Bind(kLoop)
-	b.Bge(isa.T4, isa.R3, kDone)
+	b.Bge(isa.R0, isa.R3, kDone)
 	if poll {
 		b.Poll()
 	}
 	b.Mul(isa.T0, isa.R7, isa.R6)
-	b.Add(isa.T0, isa.T0, isa.T4)
+	b.Add(isa.T0, isa.T0, isa.R0)
 	b.Add(isa.T0, isa.T0, isa.R4)
 	b.Load(isa.T5, isa.T0, 0) // aik
 	b.Mul(isa.T0, isa.R7, isa.R6)
 	b.Add(isa.T0, isa.T0, isa.R1) // C row cursor
-	b.Mul(isa.T1, isa.T4, isa.R6)
+	b.Mul(isa.T1, isa.R0, isa.R6)
 	b.Add(isa.T1, isa.T1, isa.R5) // B row cursor
 	b.Const(isa.T6, 0)            // j
 
@@ -464,7 +464,7 @@ func addKSliceKernel(u *asm.Unit, poll bool) {
 	b.Jmp(jLoop)
 
 	b.Bind(jDone)
-	b.AddI(isa.T4, isa.T4, 1)
+	b.AddI(isa.R0, isa.R0, 1)
 	b.Jmp(kLoop)
 
 	b.Bind(kDone)

@@ -229,7 +229,11 @@ func (b *B) Fork(name string) {
 	b.emit(isa.Instr{Op: isa.Call, Sym: isa.ForkBlockEnd})
 }
 
-// Poll emits a steal-request poll point.
+// Poll emits a steal-request poll point. Under the calling standard a poll
+// point is a call: the thread may be suspended there and later restarted,
+// and a suspend/restart restores only the callee-save registers R0..R7, so
+// every caller-save register (T0..T7) is dead across it. A value live across
+// a poll must sit in R0..R7 or in the frame.
 func (b *B) Poll() { b.emit(isa.Instr{Op: isa.Poll}) }
 
 // Nop emits a no-op (also used by workload generators as filler compute).

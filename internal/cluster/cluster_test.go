@@ -359,8 +359,8 @@ func TestStealCompletesRemotely(t *testing.T) {
 		// Two concurrent jobs: with nothing queued a node's last running
 		// job is not surplus, so a lone job would never be offered. Two
 		// running jobs leave exactly one stealable. Paper-scale fib: the
-		// quick size finishes in well under a steal-probe period on a
-		// JIT-era interpreter, so the thief would never find it running.
+		// quick size finishes in well under a steal-probe period on the
+		// batched interpreter tier, so the thief would never find it running.
 		reqs := [2]server.JobRequest{
 			{App: "fib", Full: true, Workers: 4, Seed: uint64(100 + 2*attempt), NoCache: true},
 			{App: "fib", Full: true, Workers: 4, Seed: uint64(101 + 2*attempt), NoCache: true},

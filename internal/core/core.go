@@ -119,24 +119,6 @@ func (e Engine) schedEngine() (sched.Engine, error) {
 	return sched.EngineSequential, nil
 }
 
-// resolveJIT resolves the trace-JIT enable, letting the ST_JIT environment
-// variable override the config in either direction — CI uses it to flip an
-// unmodified test suite onto the JIT, exactly as ST_ENGINE flips engines.
-// An unrecognized value is an error: a forced JIT leg that silently ran
-// interpreted would void whatever the sweep was trying to prove.
-func resolveJIT(configured bool) (bool, error) {
-	switch v := os.Getenv("ST_JIT"); v {
-	case "":
-		return configured, nil
-	case "1", "true", "on":
-		return true, nil
-	case "0", "false", "off":
-		return false, nil
-	default:
-		return false, fmt.Errorf("ST_JIT: unrecognized value %q (want 1/true/on or 0/false/off)", v)
-	}
-}
-
 // hostProcs resolves the host-parallelism cap, consulting ST_HOSTPROCS when
 // the config leaves it unset.
 func hostProcs(configured int) int {
@@ -162,14 +144,6 @@ type Config struct {
 	// HostProcs caps the host goroutines the throughput engine uses
 	// (default: ST_HOSTPROCS, then runtime.GOMAXPROCS(0)).
 	HostProcs int
-	// JIT enables the interpreter's trace JIT (machine/jit.go): hot program
-	// points compile into superblock traces that deoptimize to the
-	// reference interpreter on traps, budget boundaries, builtins and
-	// speculation. Purely a host-speed knob — results are byte-identical
-	// with it on or off, on every engine. The ST_JIT environment variable
-	// overrides it either way (1/true/on, 0/false/off); an unrecognized
-	// value fails the run, like ST_ENGINE.
-	JIT bool
 	// CPU is the cost model (default isa.SPARC()).
 	CPU *isa.CostModel
 	// StackWords and HeapWords size the simulated memory (defaults:
@@ -315,10 +289,6 @@ func prepare(prog *isa.Program, w *apps.Workload, cfg *Config) (*machine.Machine
 	if err != nil {
 		return nil, nil, engine, fmt.Errorf("core: %w", err)
 	}
-	jit, err := resolveJIT(cfg.JIT)
-	if err != nil {
-		return nil, nil, engine, fmt.Errorf("core: %w", err)
-	}
 	if cfg.CPU == nil {
 		cfg.CPU = isa.SPARC()
 	}
@@ -349,7 +319,6 @@ func prepare(prog *isa.Program, w *apps.Workload, cfg *Config) (*machine.Machine
 		LockedLib:       cfg.LockedLib,
 		Obs:             cfg.Obs,
 		Canary:          cfg.Canary,
-		JIT:             jit,
 	})
 
 	args := w.Args

@@ -38,10 +38,6 @@ type Opts struct {
 	// read-only and charges no virtual cycles, so every figure number is
 	// byte-identical with or without it; a violation fails the figure.
 	AuditEvery int64
-	// JIT enables the interpreter's trace JIT for each individual run (see
-	// core.Config.JIT). Virtual-cycle figure numbers are byte-identical
-	// either way; only host wall-clock changes.
-	JIT bool
 }
 
 // audit builds a fresh auditor per run (the auditor carries per-run pick
@@ -203,7 +199,7 @@ func UniprocessorWith(w io.Writer, sc Scale, opts Opts) ([]UniRow, error) {
 		if err != nil {
 			return err
 		}
-		seqRes, err := core.Run(seqW, core.Config{Mode: core.Sequential, Engine: opts.Engine, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit(), JIT: opts.JIT})
+		seqRes, err := core.Run(seqW, core.Config{Mode: core.Sequential, Engine: opts.Engine, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit()})
 		if err != nil {
 			return fmt.Errorf("%s/seq: %w", name, err)
 		}
@@ -211,7 +207,7 @@ func UniprocessorWith(w io.Writer, sc Scale, opts Opts) ([]UniRow, error) {
 		if err != nil {
 			return err
 		}
-		stRes, err := core.Run(stW, core.Config{Mode: core.StackThreads, Workers: 1, Engine: opts.Engine, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit(), JIT: opts.JIT})
+		stRes, err := core.Run(stW, core.Config{Mode: core.StackThreads, Workers: 1, Engine: opts.Engine, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit()})
 		if err != nil {
 			return fmt.Errorf("%s/st: %w", name, err)
 		}
@@ -219,7 +215,7 @@ func UniprocessorWith(w io.Writer, sc Scale, opts Opts) ([]UniRow, error) {
 		if err != nil {
 			return err
 		}
-		ckRes, err := core.Run(ckW, core.Config{Mode: core.Cilk, Workers: 1, Engine: opts.Engine, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit(), JIT: opts.JIT})
+		ckRes, err := core.Run(ckW, core.Config{Mode: core.Cilk, Workers: 1, Engine: opts.Engine, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit()})
 		if err != nil {
 			return fmt.Errorf("%s/cilk: %w", name, err)
 		}
@@ -284,7 +280,7 @@ func ScalingWith(w io.Writer, sc Scale, benches []string, opts Opts) ([]ScaleRow
 		if err != nil {
 			return err
 		}
-		stRes, err := core.Run(stW, core.Config{Mode: core.StackThreads, Workers: n, Seed: 1, Engine: opts.Engine, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit(), JIT: opts.JIT})
+		stRes, err := core.Run(stW, core.Config{Mode: core.StackThreads, Workers: n, Seed: 1, Engine: opts.Engine, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit()})
 		if err != nil {
 			return fmt.Errorf("%s/st/p=%d: %w", name, n, err)
 		}
@@ -292,7 +288,7 @@ func ScalingWith(w io.Writer, sc Scale, benches []string, opts Opts) ([]ScaleRow
 		if err != nil {
 			return err
 		}
-		ckRes, err := core.Run(ckW, core.Config{Mode: core.Cilk, Workers: n, Seed: 1, Engine: opts.Engine, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit(), JIT: opts.JIT})
+		ckRes, err := core.Run(ckW, core.Config{Mode: core.Cilk, Workers: n, Seed: 1, Engine: opts.Engine, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit()})
 		if err != nil {
 			return fmt.Errorf("%s/cilk/p=%d: %w", name, n, err)
 		}

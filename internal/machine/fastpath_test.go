@@ -62,6 +62,21 @@ func diffWorker(t *testing.T, where string, a, b *Worker) {
 	}
 }
 
+// addMixProc emits mix(cell, i): a straight-line read-modify-write of one
+// heap cell, returning the new value.
+func addMixProc(u *asm.Unit) {
+	h := u.Proc("mix", 2, 2)
+	h.LoadArg(isa.T0, 0) // cell address
+	h.LoadArg(isa.T1, 1) // i
+	h.Load(isa.T2, isa.T0, 0)
+	h.Add(isa.T2, isa.T2, isa.T1)
+	h.MulI(isa.T3, isa.T2, 3)
+	h.Xor(isa.T2, isa.T2, isa.T3)
+	h.AddI(isa.T2, isa.T2, 17)
+	h.Store(isa.T0, 0, isa.T2)
+	h.Ret(isa.T2)
+}
+
 // mixProgram exercises every fast-path concern in one program: long
 // straightline runs of ALU and memory traffic, calls (which end a run and
 // carry a static cycle adjustment), polls, and branches, all mutating a
@@ -69,16 +84,7 @@ func diffWorker(t *testing.T, where string, a, b *Worker) {
 func mixProgram(t *testing.T) *isa.Program {
 	t.Helper()
 	return compileUnit(t, func(u *asm.Unit) {
-		h := u.Proc("mix", 2, 2)
-		h.LoadArg(isa.T0, 0) // cell address
-		h.LoadArg(isa.T1, 1) // i
-		h.Load(isa.T2, isa.T0, 0)
-		h.Add(isa.T2, isa.T2, isa.T1)
-		h.MulI(isa.T3, isa.T2, 3)
-		h.Xor(isa.T2, isa.T2, isa.T3)
-		h.AddI(isa.T2, isa.T2, 17)
-		h.Store(isa.T0, 0, isa.T2)
-		h.Ret(isa.T2)
+		addMixProc(u)
 
 		b := u.Proc("main", 0, 2)
 		b.Const(isa.R0, mem.Guard) // heap cell 0
@@ -97,43 +103,128 @@ func mixProgram(t *testing.T) *isa.Program {
 	})
 }
 
-// TestFastPathMatchesSlowPath runs the same program on two machines — fast
-// path on vs NoFastPath — sliced into deliberately odd 97-cycle budgets so
-// EvBudget falls in the middle of straightline runs, and asserts the entire
-// architectural state is identical at every slice boundary.
-func TestFastPathMatchesSlowPath(t *testing.T) {
-	prog := mixProgram(t)
-	mf, wf := startWorker(t, prog, Options{})
-	ms, ws := startWorker(t, prog, Options{NoFastPath: true})
+// lockProgram extends the mix with the remaining straight-line shapes: a
+// tas spin-style lock probe inside a block (single-worker, so it always
+// acquires), a const+branch pair, and a call inside the locked region.
+func lockProgram(t *testing.T) *isa.Program {
+	t.Helper()
+	return compileUnit(t, func(u *asm.Unit) {
+		addMixProc(u)
 
-	for step := 0; ; step++ {
-		if step > 1_000_000 {
-			t.Fatal("runaway program")
-		}
-		evF, evS := wf.Run(97), ws.Run(97)
-		if evF != evS {
-			t.Fatalf("step %d: events diverged: fast=%v slow=%v", step, evF, evS)
-		}
-		diffWorker(t, "slice boundary", wf, ws)
-		switch evF {
-		case EvBudget, EvPoll:
-			continue
-		case EvHalt:
-			wordsF, wordsS := mf.Mem.Words(), ms.Mem.Words()
-			if len(wordsF) != len(wordsS) {
-				t.Fatalf("memory sizes diverged: %d vs %d", len(wordsF), len(wordsS))
-			}
-			for a := range wordsF {
-				if wordsF[a] != wordsS[a] {
-					t.Fatalf("memory diverged at %d: fast=%d slow=%d", a, wordsF[a], wordsS[a])
+		b := u.Proc("main", 0, 2)
+		b.Const(isa.R0, mem.Guard)   // heap cell 0: accumulator
+		b.Const(isa.R3, mem.Guard+1) // heap cell 1: lock word
+		b.Const(isa.R1, 0)           // i
+		b.Const(isa.R2, 150)         // iterations
+		loop := b.NewLabel()
+		b.Bind(loop)
+		b.Tas(isa.T4, isa.R3, 0) // single worker: always acquires
+		b.Const(isa.T5, 0)
+		b.Bne(isa.T4, isa.T5, loop) // const+branch pair, never taken
+		b.SetArg(0, isa.R0)
+		b.SetArg(1, isa.R1)
+		b.Call("mix")
+		b.Const(isa.T5, 0)         // caller-save T5 is dead across the call
+		b.Store(isa.R3, 0, isa.T5) // release the lock
+		b.AddI(isa.R1, isa.R1, 1)
+		b.Poll()
+		b.Blt(isa.R1, isa.R2, loop)
+		b.Load(isa.RV, isa.R0, 0)
+		b.Ret(isa.RV)
+	})
+}
+
+// canaryProgram runs the canary builtins inside a hot loop between
+// straight-line blocks, so the batched tier must charge the identical
+// builtin cost at the identical instruction.
+func canaryProgram(t *testing.T) *isa.Program {
+	t.Helper()
+	return compileUnit(t, func(u *asm.Unit) {
+		b := u.Proc("main", 0, 3)
+		b.Const(isa.R0, mem.Guard+8) // canary word address
+		b.Const(isa.R1, 0)           // i
+		b.Const(isa.R2, 120)         // iterations
+		loop := b.NewLabel()
+		b.Bind(loop)
+		b.Const(isa.T0, 0xC0DE)
+		b.SetArg(0, isa.R0)
+		b.SetArg(1, isa.T0)
+		b.SetArg(2, isa.R1)
+		b.Call("canary")
+		b.Add(isa.T1, isa.T1, isa.R1)
+		b.MulI(isa.T1, isa.T1, 3)
+		b.SetArg(0, isa.R0)
+		b.SetArg(1, isa.T0)
+		b.Call("canary_retire")
+		b.AddI(isa.R1, isa.R1, 1)
+		b.Blt(isa.R1, isa.R2, loop)
+		b.Ret(isa.T1)
+	})
+}
+
+// TestFastPathMatchesSlowPath runs each program on two machines — fast path
+// on vs NoFastPath — sliced into budgets from a single cycle up to long odd
+// slices so EvBudget falls in the middle of straightline runs, with the poll
+// signal raised periodically, and asserts the entire architectural state is
+// identical at every slice boundary and memory is identical at halt.
+func TestFastPathMatchesSlowPath(t *testing.T) {
+	if got := isa.SPARC().BuiltinCost[isa.BCanary]; got != 4 {
+		t.Fatalf("SPARC canary cost = %d, want 4", got)
+	}
+	if got := isa.SPARC().BuiltinCost[isa.BCanaryRetire]; got != 4 {
+		t.Fatalf("SPARC canary_retire cost = %d, want 4", got)
+	}
+	progs := []struct {
+		name string
+		mk   func(*testing.T) *isa.Program
+	}{
+		{"mix", mixProgram},
+		{"lock", lockProgram},
+		{"canary", canaryProgram},
+	}
+	for _, p := range progs {
+		for _, budget := range []int64{1, 2, 53, 97, 1000} {
+			t.Run(fmt.Sprintf("%s/budget=%d", p.name, budget), func(t *testing.T) {
+				prog := p.mk(t)
+				mf, wf := startWorker(t, prog, Options{})
+				ms, ws := startWorker(t, prog, Options{NoFastPath: true})
+
+				for step := 0; ; step++ {
+					if step > 2_000_000 {
+						t.Fatal("runaway program")
+					}
+					signal := step%7 == 3
+					wf.PollSignal, ws.PollSignal = signal, signal
+					evF, evS := wf.Run(budget), ws.Run(budget)
+					if evF != evS {
+						t.Fatalf("step %d: events diverged: fast=%v slow=%v", step, evF, evS)
+					}
+					diffWorker(t, "slice boundary", wf, ws)
+					switch evF {
+					case EvBudget:
+						continue
+					case EvPoll:
+						wf.PollSignal, ws.PollSignal = false, false
+						continue
+					case EvHalt:
+						wordsF, wordsS := mf.Mem.Words(), ms.Mem.Words()
+						if len(wordsF) != len(wordsS) {
+							t.Fatalf("memory sizes diverged: %d vs %d", len(wordsF), len(wordsS))
+						}
+						for a := range wordsF {
+							if wordsF[a] != wordsS[a] {
+								t.Fatalf("memory diverged at %d: fast=%d slow=%d", a, wordsF[a], wordsS[a])
+							}
+						}
+						if wf.Regs[isa.RV] == 0 {
+							t.Fatal("program returned 0; the workload never ran")
+						}
+						return
+					default:
+						t.Fatalf("step %d: unexpected event %v (err=%v)", step, evF, wf.Err)
+					}
 				}
-			}
-			if wf.Regs[isa.RV] == 0 {
-				t.Fatal("program returned 0; the workload never ran")
-			}
-			return
-		default:
-			t.Fatalf("step %d: unexpected event %v (err=%v)", step, evF, wf.Err)
+			})
 		}
 	}
 }

@@ -14,13 +14,13 @@ import (
 // results are byte-identical no matter how fast the host loop runs, so any
 // change here is pure host efficiency. The bench-hotpath CI step gates these
 // against BENCH_BASELINE.json (with a wide tolerance for runner noise).
-func benchHotPath(b *testing.B, jit bool, mk func() *apps.Workload) {
+func benchHotPath(b *testing.B, mk func() *apps.Workload) {
 	b.Helper()
 	var hostNS, vcycles int64
 	for i := 0; i < b.N; i++ {
 		w := mk()
 		t0 := time.Now()
-		res, err := core.Run(w, core.Config{Mode: core.StackThreads, Workers: 1, Seed: 1, JIT: jit})
+		res, err := core.Run(w, core.Config{Mode: core.StackThreads, Workers: 1, Seed: 1})
 		host := time.Since(t0)
 		if err != nil {
 			b.Fatal(err)
@@ -29,26 +29,16 @@ func benchHotPath(b *testing.B, jit bool, mk func() *apps.Workload) {
 		vcycles += res.WorkCycles
 	}
 	b.ReportMetric(float64(hostNS)/float64(vcycles), "host-ns/vcycle")
-	// The same figure inverted (millions of virtual cycles per host second):
-	// a benefit metric, so the bench-jit CI gate can express "at least 2x the
-	// PR 5 interpreter baseline" as a benchjson -floor requirement.
-	b.ReportMetric(1e3*float64(vcycles)/float64(hostNS), "Mvcycles/host-s")
 }
 
 func BenchmarkHotPath(b *testing.B) {
-	for _, jit := range []bool{false, true} {
-		suffix := ""
-		if jit {
-			suffix = "_jit"
-		}
-		b.Run("fib"+suffix, func(b *testing.B) {
-			benchHotPath(b, jit, func() *apps.Workload { return apps.Fib(22, apps.ST) })
-		})
-		b.Run("cilksort"+suffix, func(b *testing.B) {
-			benchHotPath(b, jit, func() *apps.Workload { return apps.Cilksort(6000, apps.ST, 11) })
-		})
-		b.Run("nqueens"+suffix, func(b *testing.B) {
-			benchHotPath(b, jit, func() *apps.Workload { return apps.NQueens(8, apps.ST) })
-		})
-	}
+	b.Run("fib", func(b *testing.B) {
+		benchHotPath(b, func() *apps.Workload { return apps.Fib(22, apps.ST) })
+	})
+	b.Run("cilksort", func(b *testing.B) {
+		benchHotPath(b, func() *apps.Workload { return apps.Cilksort(6000, apps.ST, 11) })
+	})
+	b.Run("nqueens", func(b *testing.B) {
+		benchHotPath(b, func() *apps.Workload { return apps.NQueens(8, apps.ST) })
+	})
 }

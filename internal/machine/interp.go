@@ -73,21 +73,6 @@ func (w *Worker) Run(budget int64) (ev Event) {
 	// speed.
 	fast := !w.M.Opts.NoFastPath && w.M.Opts.Trace == nil
 	ob := w.Obs
-	// The trace JIT additionally requires plain (non-speculative) memory
-	// and no observability: chained speculations must log page-view
-	// writes, and the JIT has no sample-boundary or phase-attribution
-	// exits, so both stay on the paths that already handle them. Not
-	// entering the JIT never changes virtual state, so the gate is a pure
-	// host-speed decision.
-	var jit *jitState
-	var jitHeads []bool
-	if fast && ob == nil && w.spec == nil && w.M.jitHeads != nil {
-		if w.jit == nil {
-			w.jit = newJITState(w.M)
-		}
-		jit = w.jit
-		jitHeads = w.M.jitHeads
-	}
 
 	for {
 		pc := w.PC
@@ -106,26 +91,6 @@ func (w *Worker) Run(budget int64) (ev Event) {
 		}
 		if pc >= int64(len(dec)) {
 			w.fail(pc, "pc out of program")
-		}
-
-		if jit != nil && jitHeads[pc] {
-			if t := jit.traces[pc]; t != nil {
-				// Sentinel traces (steps == nil) mark uncompilable heads:
-				// they fall through to the reference path forever, as does
-				// any trace whose worst-case entry segment no longer fits
-				// under the deadline (the quantum tail runs batched or
-				// per-instruction, which find the exact EvBudget point).
-				if t.steps != nil && w.Cycles+t.entryBound < deadline {
-					ev, done := w.runJIT(t, deadline)
-					if done {
-						return ev
-					}
-					continue
-				}
-			} else if jit.hot.Bump(pc) {
-				jit.traces[pc] = jit.compile(w.M, pc)
-				continue
-			}
 		}
 
 		d := &dec[pc]

@@ -105,17 +105,10 @@ type Options struct {
 	// costs nothing — collection never charges virtual cycles either way.
 	Obs *obs.Collector
 	// NoFastPath forces the interpreter onto its per-instruction reference
-	// path, disabling straight-line batching AND the trace JIT. Tests use it
-	// to prove the fast paths are observationally identical; nothing in the
+	// tier, disabling the batched straight-line tier. Tests use it to prove
+	// the batched tier is observationally identical; nothing in the
 	// production paths (core, sched, stserve) ever sets it.
 	NoFastPath bool
-	// JIT enables the trace JIT (jit.go): hot program points compile into
-	// superblock traces of fused superinstruction steps, deoptimizing to
-	// the reference interpreter on traps, budget boundaries, builtins and
-	// speculation. Strictly a host-speed knob — results are byte-identical
-	// with it on or off (proven by the lockstep tests and the equivalence
-	// matrix).
-	JIT bool
 	// Canary, when non-nil, arms the adversarial stack-safety harness: the
 	// canary/canary_retire builtins register per-frame canary words here and
 	// the invariant auditor enforces the caller-integrity and
@@ -154,9 +147,6 @@ type Machine struct {
 	// descriptors, costs, call adjustments and straight-line run metadata
 	// (see decode.go). Immutable after New.
 	dec []decoded
-	// jitHeads marks the pcs where JIT traces may start (nil when the JIT
-	// is off). Immutable after New; workers hold the mutable JIT state.
-	jitHeads []bool
 
 	thunks    map[int64]*thunk
 	nextThunk int64
@@ -235,9 +225,6 @@ func New(prog *isa.Program, memory *mem.Memory, cost *isa.CostModel, nWorkers in
 	}
 	m.augRefund = cost.OpCost[isa.Load] + cost.OpCost[isa.Bge] + cost.OpCost[isa.Blt]
 	m.buildDecode()
-	if opts.JIT && !opts.NoFastPath {
-		m.jitHeads = m.buildJITHeads()
-	}
 	for i := 0; i < nWorkers; i++ {
 		w := newWorker(m, i)
 		m.Workers = append(m.Workers, w)
@@ -383,13 +370,9 @@ type Worker struct {
 	// into a speculative quantum's private view (see spec.go).
 	spec *specState
 
-	// jit is this worker's trace-JIT state (hotness counts + compiled
-	// traces), created lazily on the first eligible Run; nil when the JIT
-	// is off. Host-side only: never captured, snapshotted or speculated.
-	jit *jitState
 	// batched counts the virtual cycles this worker executed on the
 	// batched tier (runBlock/runBlockView), speculated segments included.
-	// Host-side tier-residency diagnostic only, like jit: never captured,
+	// Host-side tier-residency diagnostic only: never captured,
 	// snapshotted or restored, and never part of a deterministic artifact.
 	batched int64
 }

@@ -39,13 +39,6 @@ type Contention struct {
 	HostSteals        atomic.Int64
 	HostStealAttempts atomic.Int64
 
-	// JITCompiled counts traces the per-worker trace JITs compiled and
-	// JITDeopts the budget deoptimizations out of compiled traces
-	// (machine/jit.go), folded in from every worker at run end. Like the
-	// rest of the struct these are host-side only: which traces turn hot
-	// first depends on quantum interleaving, never on virtual state.
-	JITCompiled atomic.Int64
-	JITDeopts   atomic.Int64
 	// BatchedCycles counts the virtual cycles workers executed on the
 	// interpreter's batched straight-line tier (machine.Worker.
 	// BatchedCycles), folded in at run end. It is the tier-residency
@@ -69,8 +62,6 @@ type ContentionSnapshot struct {
 	HostSteals        int64 `json:"host_steals"`
 	HostStealAttempts int64 `json:"host_steal_attempts"`
 
-	JITCompiled   int64 `json:"jit_compiled"`
-	JITDeopts     int64 `json:"jit_deopts"`
 	BatchedCycles int64 `json:"batched_vcycles"`
 }
 
@@ -92,8 +83,6 @@ func (c *Contention) Snapshot() ContentionSnapshot {
 		HostSteals:        c.HostSteals.Load(),
 		HostStealAttempts: c.HostStealAttempts.Load(),
 
-		JITCompiled:   c.JITCompiled.Load(),
-		JITDeopts:     c.JITDeopts.Load(),
 		BatchedCycles: c.BatchedCycles.Load(),
 	}
 }

@@ -89,6 +89,23 @@ func runEngine(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers i
 	return diffRun{res: res, events: events.Sorted(), out: out.Bytes(), obs: obsDump(collector)}
 }
 
+// runEnginePlain is runEngine without the observability collector: the
+// obs-free interpreter paths compare on Result, program output and the
+// sorted event log, which is everything such a run produces.
+func runEnginePlain(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int,
+	seed uint64, engine core.Engine) diffRun {
+	t.Helper()
+	w := mk()
+	var events sched.EventLog
+	var out bytes.Buffer
+	res, err := core.Run(w, rtConfig(mode, workers, seed, engine, &events, nil, &out))
+	if err != nil {
+		t.Fatalf("%s mode=%v workers=%d seed=%d engine=%v: %v",
+			w.Name, mode, workers, seed, engine, err)
+	}
+	return diffRun{res: res, events: events.Sorted(), out: out.Bytes()}
+}
+
 // obsDump renders a collector to a canonical byte form: the metrics
 // snapshot, the phase totals, the profile, and the full Chrome trace (which
 // serializes every event with its arguments in emission order).
@@ -177,76 +194,6 @@ func TestParallelEngineDeterminism(t *testing.T) {
 				if !reflect.DeepEqual(first.res, r.res) || !reflect.DeepEqual(first.events, r.events) ||
 					!bytes.Equal(first.obs, r.obs) {
 					t.Fatalf("%v engine run %d diverged from run 0", engine, i)
-				}
-			}
-		})
-	}
-}
-
-// runEngineJIT is runEngine without the observability collector: per-worker
-// obs hooks disable the trace JIT entirely (the interpreter's fast gate), so
-// the JIT matrix compares the dimensions that remain observable — Result,
-// program output, and the sorted event log. The live auditor still rides
-// along; it reads machine state without charging cycles, so it cannot mask
-// a JIT divergence.
-func runEngineJIT(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int,
-	seed uint64, engine core.Engine, jit bool) diffRun {
-	t.Helper()
-	w := mk()
-	var events sched.EventLog
-	var out bytes.Buffer
-	res, err := core.Run(w, core.Config{
-		Mode:            mode,
-		Workers:         workers,
-		Seed:            seed,
-		Engine:          engine,
-		HostProcs:       4,
-		CheckInvariants: true,
-		SegmentedStacks: workers > 1,
-		JIT:             jit,
-		Events:          &events,
-		Out:             &out,
-		Audit:           invariant.New(64),
-	})
-	if err != nil {
-		t.Fatalf("%s mode=%v workers=%d seed=%d engine=%v jit=%v: %v",
-			w.Name, mode, workers, seed, engine, jit, err)
-	}
-	return diffRun{res: res, events: events.Sorted(), out: out.Bytes()}
-}
-
-// TestJITDifferential is the trace-JIT leg of the equivalence matrix: on
-// every engine, a JIT-enabled run must be byte-identical to the JIT-less
-// sequential oracle in Result, program output, and event log. This is the
-// whole deoptimization contract end to end — every trace entry, budget
-// deopt, trap, and builtin must land on exactly the state the reference
-// interpreter reaches. Nightly widens the seed set with ST_DIFF_SEEDS, the
-// same knob as TestEngineDifferential.
-func TestJITDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential matrix")
-	}
-	seeds := diffSeeds()
-	for _, mk := range []func() *apps.Workload{
-		func() *apps.Workload { return apps.Fib(13, apps.ST) },
-		func() *apps.Workload { return apps.Cilksort(64, apps.ST, 5) },
-		func() *apps.Workload { return apps.NQueens(6, apps.ST) },
-	} {
-		name := mk().Name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			for _, mode := range []core.Mode{core.StackThreads, core.Cilk} {
-				for _, workers := range []int{1, 4} {
-					for _, seed := range seeds {
-						seq := runEngineJIT(t, mk, mode, workers, seed, core.EngineSequential, false)
-						ctx := fmt.Sprintf("mode=%v workers=%d seed=%d jit=on", mode, workers, seed)
-						for _, engine := range []core.Engine{
-							core.EngineSequential, core.EngineThroughput,
-						} {
-							got := runEngineJIT(t, mk, mode, workers, seed, engine, true)
-							diffCompare(t, ctx, engine, seq, got)
-						}
-					}
 				}
 			}
 		})

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/apps"
@@ -44,14 +43,13 @@ func rtConfig(mode core.Mode, workers int, seed uint64, engine core.Engine,
 
 // captureAt runs the workload until pick boundary `pick`, yields there, and
 // returns the continuation with its partial artifacts as encoded snapshot
-// bytes — the full serialize leg.
+// bytes — the full serialize leg. A nil collector captures an obs-free run.
 func captureAt(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int,
-	seed uint64, engine core.Engine, pick int64) []byte {
+	seed uint64, engine core.Engine, pick int64, collector *obs.Collector) []byte {
 	t.Helper()
 	w := mk()
 	var events sched.EventLog
 	var out bytes.Buffer
-	collector := obs.New()
 	cfg := rtConfig(mode, workers, seed, engine, &events, collector, &out)
 	cfg.Checkpoint = &sched.Checkpoint{YieldAtPick: pick}
 	_, err := core.Run(w, cfg)
@@ -59,13 +57,17 @@ func captureAt(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers i
 	if !errors.As(err, &ye) {
 		t.Fatalf("%s pick=%d engine=%v: expected a yield, got err=%v", w.Name, pick, engine, err)
 	}
+	var obsState *obs.CollectorState
+	if collector != nil {
+		obsState = collector.ExportState()
+	}
 	enc, err := snapshot.Encode(&snapshot.Snapshot{
 		Key:     fmt.Sprintf("%s|mode=%v|workers=%d|seed=%d", w.Name, mode, workers, seed),
 		TraceID: "rt-test",
 		Mach:    ye.Boundary.Mach,
 		Sched:   ye.Boundary.Sched,
 		Fault:   ye.Boundary.Fault,
-		Obs:     collector.ExportState(),
+		Obs:     obsState,
 		Events:  events.Events,
 		Out:     bytes.Clone(out.Bytes()),
 	})
@@ -76,7 +78,8 @@ func captureAt(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers i
 }
 
 // resumeFrom decodes an encoded snapshot and resumes it under `engine`,
-// returning the finished run's complete observable state.
+// returning the finished run's complete observable state. A snapshot that
+// carries no collector state resumes obs-free, as it was captured.
 func resumeFrom(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int,
 	seed uint64, engine core.Engine, enc []byte) diffRun {
 	t.Helper()
@@ -88,8 +91,9 @@ func resumeFrom(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers 
 	events := sched.EventLog{Events: snap.Events}
 	var out bytes.Buffer
 	out.Write(snap.Out)
-	collector := obs.New()
+	var collector *obs.Collector
 	if snap.Obs != nil {
+		collector = obs.New()
 		if err := collector.ImportState(snap.Obs); err != nil {
 			t.Fatalf("obs import: %v", err)
 		}
@@ -99,33 +103,51 @@ func resumeFrom(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers 
 	if err != nil {
 		t.Fatalf("%s engine=%v: resume: %v", w.Name, engine, err)
 	}
-	return diffRun{res: res, events: events.Sorted(), out: out.Bytes(), obs: obsDump(collector)}
+	got := diffRun{res: res, events: events.Sorted(), out: out.Bytes()}
+	if collector != nil {
+		got.obs = obsDump(collector)
+	}
+	return got
 }
 
 var rtEngines = []core.Engine{core.EngineSequential, core.EngineThroughput}
 
 // TestRoundTripEveryBoundary sweeps every pick boundary of one small run:
 // capture → encode → decode → restore → run must reproduce the undisturbed
-// bytes no matter where the run was cut.
+// bytes no matter where the run was cut. It sweeps twice: with the obs
+// collector attached, and obs-free, where the interpreter's batched tier
+// runs without sample-boundary exits and the comparison covers Result,
+// the sorted event log and program output.
 func TestRoundTripEveryBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("round-trip sweep")
 	}
 	mk := func() *apps.Workload { return apps.Fib(8, apps.ST) }
 	const mode, workers, seed = core.StackThreads, 2, 1
-	undisturbed := runEngine(t, mk, mode, workers, seed, core.EngineSequential)
-	picks := undisturbed.res.Picks
-	if picks < 2 {
-		t.Fatalf("run too small to exercise boundaries: %d picks", picks)
-	}
-	step := int64(1)
-	if picks > 120 {
-		step = picks / 120
-	}
-	for pick := int64(1); pick <= picks; pick += step {
-		enc := captureAt(t, mk, mode, workers, seed, core.EngineSequential, pick)
-		got := resumeFrom(t, mk, mode, workers, seed, core.EngineSequential, enc)
-		diffCompare(t, fmt.Sprintf("fib pick=%d/%d", pick, picks), core.EngineSequential, undisturbed, got)
+	for _, withObs := range []bool{true, false} {
+		run := runEnginePlain
+		if withObs {
+			run = runEngine
+		}
+		undisturbed := run(t, mk, mode, workers, seed, core.EngineSequential)
+		picks := undisturbed.res.Picks
+		if picks < 2 {
+			t.Fatalf("run too small to exercise boundaries: %d picks", picks)
+		}
+		step := int64(1)
+		if picks > 120 {
+			step = picks / 120
+		}
+		for pick := int64(1); pick <= picks; pick += step {
+			var collector *obs.Collector
+			if withObs {
+				collector = obs.New()
+			}
+			enc := captureAt(t, mk, mode, workers, seed, core.EngineSequential, pick, collector)
+			got := resumeFrom(t, mk, mode, workers, seed, core.EngineSequential, enc)
+			ctx := fmt.Sprintf("fib obs=%t pick=%d/%d", withObs, pick, picks)
+			diffCompare(t, ctx, core.EngineSequential, undisturbed, got)
+		}
 	}
 }
 
@@ -173,7 +195,7 @@ func TestRoundTripMatrix(t *testing.T) {
 							pick := 1 + rng.Int63n(picks)
 							ctx := fmt.Sprintf("mode=%v workers=%d seed=%d pick=%d/%d cap=%v",
 								mode, workers, seed, pick, picks, pair[0])
-							enc := captureAt(t, mk, mode, workers, seed, pair[0], pick)
+							enc := captureAt(t, mk, mode, workers, seed, pair[0], pick, obs.New())
 							got := resumeFrom(t, mk, mode, workers, seed, pair[1], enc)
 							diffCompare(t, ctx, pair[1], undisturbed, got)
 						}
@@ -206,7 +228,7 @@ func TestRoundTripRandprog(t *testing.T) {
 			capEng := rtEngines[int(seed+int64(i))%len(rtEngines)]
 			resEng := rtEngines[int(seed+int64(i)+1)%len(rtEngines)]
 			ctx := fmt.Sprintf("randtree seed=%d workers=%d pick=%d/%d cap=%v", seed, workers, pick, picks, capEng)
-			enc := captureAt(t, mk, core.StackThreads, workers, uint64(seed), capEng, pick)
+			enc := captureAt(t, mk, core.StackThreads, workers, uint64(seed), capEng, pick, obs.New())
 			got := resumeFrom(t, mk, core.StackThreads, workers, uint64(seed), resEng, enc)
 			diffCompare(t, ctx, resEng, undisturbed, got)
 		}
@@ -266,112 +288,5 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 		got := resumeFrom(t, mk, mode, workers, seed, rtEngines[i%len(rtEngines)], enc)
 		diffCompare(t, fmt.Sprintf("resume from checkpoint %d/%d", i+1, len(stored)),
 			rtEngines[i%len(rtEngines)], undisturbed, got)
-	}
-}
-
-// TestRoundTripJITCross extends the round-trip property across the trace
-// JIT: a run captured mid-flight with the JIT on must resume byte-identically
-// with the JIT off, and vice versa. The configs here deliberately omit the
-// observability collector — per-worker obs hooks gate the JIT off entirely
-// (DESIGN.md §19), so the stock harness would never execute a compiled
-// trace — and compare Result, the sorted event log and program output,
-// which is everything an obs-free run produces. This is what lets cluster
-// nodes with different ST_JIT settings exchange checkpoints freely.
-func TestRoundTripJITCross(t *testing.T) {
-	mk := func() *apps.Workload { return apps.Fib(12, apps.ST) }
-	const mode, workers, seed = core.StackThreads, 2, uint64(1)
-
-	mkCfg := func(jit bool, events *sched.EventLog, out *bytes.Buffer) core.Config {
-		return core.Config{
-			Mode: mode, Workers: workers, Seed: seed,
-			Engine: core.EngineSequential, HostProcs: 4,
-			CheckInvariants: true, SegmentedStacks: true,
-			JIT: jit, Events: events, Out: out,
-		}
-	}
-
-	type artifacts struct {
-		res    *core.Result
-		events []sched.TraceEvent
-		out    []byte
-	}
-	runWhole := func(jit bool) artifacts {
-		var events sched.EventLog
-		var out bytes.Buffer
-		res, err := core.Run(mk(), mkCfg(jit, &events, &out))
-		if err != nil {
-			t.Fatalf("jit=%t: %v", jit, err)
-		}
-		return artifacts{res: res, events: events.Sorted(), out: out.Bytes()}
-	}
-	capture := func(jit bool, pick int64) []byte {
-		var events sched.EventLog
-		var out bytes.Buffer
-		cfg := mkCfg(jit, &events, &out)
-		cfg.Checkpoint = &sched.Checkpoint{YieldAtPick: pick}
-		_, err := core.Run(mk(), cfg)
-		var ye *sched.YieldError
-		if !errors.As(err, &ye) {
-			t.Fatalf("capture jit=%t pick=%d: expected a yield, got %v", jit, pick, err)
-		}
-		enc, err := snapshot.Encode(&snapshot.Snapshot{
-			Key: "jit-rt", TraceID: "jit-rt",
-			Mach: ye.Boundary.Mach, Sched: ye.Boundary.Sched, Fault: ye.Boundary.Fault,
-			Events: events.Events, Out: bytes.Clone(out.Bytes()),
-		})
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		return enc
-	}
-	resume := func(jit bool, enc []byte) artifacts {
-		snap, err := snapshot.Decode(enc)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		events := sched.EventLog{Events: snap.Events}
-		var out bytes.Buffer
-		out.Write(snap.Out)
-		cfg := mkCfg(jit, &events, &out)
-		res, err := core.Resume(mk(), cfg, &sched.Boundary{Mach: snap.Mach, Sched: snap.Sched, Fault: snap.Fault})
-		if err != nil {
-			t.Fatalf("resume jit=%t: %v", jit, err)
-		}
-		return artifacts{res: res, events: events.Sorted(), out: out.Bytes()}
-	}
-	compare := func(ctx string, want, got artifacts) {
-		t.Helper()
-		if !reflect.DeepEqual(want.res, got.res) {
-			t.Fatalf("%s: Result diverged:\nwant: %+v\ngot:  %+v", ctx, want.res, got.res)
-		}
-		if !reflect.DeepEqual(want.events, got.events) {
-			t.Fatalf("%s: event log diverged (%d vs %d events)", ctx, len(want.events), len(got.events))
-		}
-		if !bytes.Equal(want.out, got.out) {
-			t.Fatalf("%s: program output diverged:\nwant: %q\ngot:  %q", ctx, want.out, got.out)
-		}
-	}
-
-	undisturbed := runWhole(false)
-	compare("whole run jit=on vs off", undisturbed, runWhole(true))
-	picks := undisturbed.res.Picks
-	if picks < 8 {
-		t.Fatalf("run too small to cut: %d picks", picks)
-	}
-	// Cut points spread across the run, including late ones where traces
-	// are certainly hot and compiled on the capturing side.
-	for _, pick := range []int64{2, picks / 4, picks / 2, picks - 1} {
-		for _, leg := range []struct {
-			name           string
-			capJIT, resJIT bool
-		}{
-			{"capture-jit/resume-plain", true, false},
-			{"capture-plain/resume-jit", false, true},
-			{"capture-jit/resume-jit", true, true},
-		} {
-			enc := capture(leg.capJIT, pick)
-			got := resume(leg.resJIT, enc)
-			compare(fmt.Sprintf("%s pick=%d/%d", leg.name, pick, picks), undisturbed, got)
-		}
 	}
 }

@@ -268,13 +268,9 @@ func (s *scheduler) execute() (*Result, error) {
 		s.res.WorkCycles += w.Cycles
 		s.res.Stats = append(s.res.Stats, w.Stats)
 		if cont := s.cfg.Contention; cont != nil {
-			// Host-side tier diagnostics ride the contention channel: they
-			// are timing-dependent (which traces turn hot first, which
-			// speculated segments run, depends on the engine's
-			// interleaving) and must never enter Result.
-			compiled, deopts := w.JITCounters()
-			cont.JITCompiled.Add(compiled)
-			cont.JITDeopts.Add(deopts)
+			// The host-side tier diagnostic rides the contention channel:
+			// it is timing-dependent (which speculated segments run depends
+			// on the engine's interleaving) and must never enter Result.
 			cont.BatchedCycles.Add(w.BatchedCycles())
 		}
 	}

@@ -1,12 +1,15 @@
 package sched_test
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/figures"
 	"repro/internal/sched"
 )
 
@@ -51,8 +54,12 @@ func TestStressManySeeds(t *testing.T) {
 	}
 }
 
-// TestStealYoungestPolicyCorrect runs the ablation policy across seeds: it
-// must stay correct (only slower).
+// TestStealYoungestPolicyCorrect runs the ablation policy across seeds and
+// every benchmark: it must stay correct (only slower). Stealing the youngest
+// thread suspends threads at whatever poll point they reached, and a
+// restart restores only R0..R7, so this also checks that no app keeps a
+// live value in a caller-save register across a poll. A one-worker
+// suspend-churn run adds spurious suspensions at the same poll points.
 func TestStealYoungestPolicyCorrect(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		res, err := core.Run(apps.Fib(14, apps.ST), core.Config{
@@ -68,6 +75,30 @@ func TestStealYoungestPolicyCorrect(t *testing.T) {
 		if res.RV != 377 {
 			t.Fatalf("seed %d: rv=%d", seed, res.RV)
 		}
+	}
+	churn, err := fault.ParsePlan("suspend-churn:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range figures.BenchNames {
+		t.Run(name, func(t *testing.T) {
+			run := func(ctx string, cfg core.Config) {
+				t.Helper()
+				w, err := figures.Workload(name, figures.Quick, apps.ST)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Mode, cfg.Seed, cfg.CheckInvariants = core.StackThreads, 1, true
+				if _, err := core.Run(w, cfg); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+			}
+			for _, workers := range []int{2, 4, 8} {
+				run(fmt.Sprintf("steal-youngest workers=%d", workers),
+					core.Config{Workers: workers, StealYoungest: true})
+			}
+			run("suspend-churn workers=1", core.Config{Workers: 1, Fault: fault.New(churn)})
+		})
 	}
 }
 

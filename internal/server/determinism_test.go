@@ -120,60 +120,3 @@ func TestServerDefaultEngine(t *testing.T) {
 			def.out.Result, exp.out.Result)
 	}
 }
-
-// TestCacheKeyJITAgnostic pins the cache-sharing contract for the trace
-// JIT: the JIT changes host speed only, never artifact bytes (the lockstep
-// and equivalence suites prove it), so the cache key must NOT vary with it.
-// A result computed by a JIT-enabled node serves requests from JIT-disabled
-// nodes and vice versa — and a checkpoint written by one resumes on the
-// other (see sched's TestRoundTripJITCross).
-func TestCacheKeyJITAgnostic(t *testing.T) {
-	req := JobRequest{App: "fib", Mode: "st", Workers: 4, Seed: 3}
-	norm, err := req.Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainKey := norm.CacheKey()
-
-	// Same request normalized under a forced JIT environment: same key.
-	t.Setenv("ST_JIT", "1")
-	norm2, err := req.Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := norm2.CacheKey(); got != plainKey {
-		t.Fatalf("CacheKey varies with ST_JIT:\n  plain: %s\n  jit:   %s", plainKey, got)
-	}
-
-	// And a server executing under that environment serves byte-identical
-	// artifacts, so the shared key is sound.
-	serve := func() *JobOutput {
-		t.Helper()
-		s := New(Config{QueueBound: 4, HostProcs: 2, CacheEntries: -1})
-		defer s.Drain()
-		j, err := s.Submit(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		awaitDone(t, j)
-		if st := jobState(s, j); st != StateDone {
-			t.Fatalf("state = %s (%s), want done", st, jobErr(s, j))
-		}
-		return j.out
-	}
-	jitOut := serve()
-	t.Setenv("ST_JIT", "0")
-	plainOut := serve()
-	if !reflect.DeepEqual(plainOut.Result, jitOut.Result) {
-		t.Fatalf("Result differs across ST_JIT:\n  plain: %+v\n  jit:   %+v", plainOut.Result, jitOut.Result)
-	}
-	if !bytes.Equal(plainOut.Metrics, jitOut.Metrics) {
-		t.Fatal("metrics differ across ST_JIT")
-	}
-	if plainOut.Profile != jitOut.Profile {
-		t.Fatal("profile differs across ST_JIT")
-	}
-	if !bytes.Equal(plainOut.Trace, jitOut.Trace) {
-		t.Fatal("trace differs across ST_JIT")
-	}
-}
