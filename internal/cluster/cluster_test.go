@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/snapshot"
 )
@@ -607,5 +609,61 @@ func TestInfoAndDebugSurfaces(t *testing.T) {
 		Completion{Job: "j-999", Claim: "deadbeef", Output: &server.JobOutput{}}, nil)
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("bogus completion accepted")
+	}
+}
+
+// TestFetchStealFullScaleGrant serves fetchSteal a grant built from a real
+// mid-run capture of an 8-worker full-scale fib job, exactly as a victim's
+// /cluster/steal would send it, and checks the thief decodes it intact.
+// The grant must fit under fetchSteal's response cap, or such a job can
+// never be stolen.
+func TestFetchStealFullScaleGrant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale capture")
+	}
+	req, err := server.JobRequest{App: "fib", Full: true, Workers: 8, Seed: 1}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	out, err := server.Execute(ctx, req)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	_, err = server.ExecuteOpts(ctx, req, server.ExecOpts{
+		Checkpoint: &sched.Checkpoint{YieldAtPick: out.Result.Picks / 2},
+	})
+	var susp *server.SuspendedError
+	if !errors.As(err, &susp) {
+		t.Fatalf("capture at pick %d: err = %v, want a suspension", out.Result.Picks/2, err)
+	}
+	body := mustJSON(t, StealGrant{Job: "victim-job", Claim: "claim", TraceID: "trace", Req: req, Snapshot: susp.Enc})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/cluster/steal" || r.Method != http.MethodPost {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+	}))
+	defer ts.Close()
+
+	n, err := New(nil, Config{Self: "thief"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := n.fetchSteal(strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatalf("fetchSteal of a %d-byte grant (%d-byte continuation): %v", len(body), len(susp.Enc), err)
+	}
+	if g.Job != "victim-job" || g.Claim != "claim" || g.Req != req || !bytes.Equal(g.Snapshot, susp.Enc) {
+		t.Fatalf("grant changed in transit: job %q claim %q, %d snapshot bytes (sent %d)", g.Job, g.Claim, len(g.Snapshot), len(susp.Enc))
+	}
+	snap, err := snapshot.Decode(g.Snapshot)
+	if err != nil {
+		t.Fatalf("decode stolen continuation: %v", err)
+	}
+	if snap.Key != req.CacheKey() {
+		t.Fatalf("stolen continuation key %q, want %q", snap.Key, req.CacheKey())
 	}
 }

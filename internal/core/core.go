@@ -300,14 +300,7 @@ func prepare(prog *isa.Program, w *apps.Workload, cfg *Config) (*machine.Machine
 		heap = 1 << 20
 	}
 
-	// Size the address space in one allocation: heap now, worker stacks and
-	// worker-local words reserved so machine.New's mappings never copy.
-	stackWords := cfg.StackWords
-	if stackWords == 0 {
-		stackWords = machine.DefaultStackWords
-	}
-	memory := mem.NewReserved(heap, int64(cfg.Workers)*(stackWords+8))
-	m := machine.New(prog, memory, cfg.CPU, cfg.Workers, machine.Options{
+	m := machine.New(prog, mem.New(heap), cfg.CPU, cfg.Workers, machine.Options{
 		StackWords:      cfg.StackWords,
 		SegmentedStacks: cfg.SegmentedStacks,
 		CheckInvariants: cfg.CheckInvariants,

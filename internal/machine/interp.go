@@ -289,18 +289,21 @@ func (w *Worker) magicPC(pc int64) (Event, bool) {
 // (and before the next profiler sample) and that the execution environment
 // is plain (no tracing or speculation), and straightline instructions cannot
 // branch or reach the runtime, so no per-instruction checks are needed and
-// memory is accessed directly with an inline guard check (stores still
-// report to the machine's store hook, exactly as memStore would). The only
-// panics a block can
-// raise are its own simulated faults, each preceded by blockSync, which
-// synchronizes PC/cycles/instruction count to the exact state the
-// per-instruction path would hold at the trap (the faulting instruction
-// charged and counted, w.PC naming it) — required both for Run's trap
-// formatting and for the engines' trap-state determinism.
+// memory is accessed directly through the page table with an inline guard
+// check (stores still report to the machine's store hook, exactly as
+// memStore would). The table is fetched once per batch: nothing inside a
+// batch maps memory, and a store into a page that has never been written
+// materializes it in this same table through Memory.Store. The only panics
+// a block can raise are its own simulated faults, each preceded by
+// blockSync, which synchronizes PC/cycles/instruction count to the exact
+// state the per-instruction path would hold at the trap (the faulting
+// instruction charged and counted, w.PC naming it) — required both for
+// Run's trap formatting and for the engines' trap-state determinism.
 func (w *Worker) runBlock(start int64, d0 *decoded) {
 	dec := w.M.dec
-	words := w.M.Mem.Words()
-	size := int64(len(words))
+	memory := w.M.Mem
+	pages := memory.Pages()
+	size := memory.Size()
 	end := start + int64(d0.runLen)
 	regs := &w.Regs
 	for pc := start; pc < end; pc++ {
@@ -348,7 +351,11 @@ func (w *Worker) runBlock(start int64, d0 *decoded) {
 			if a < mem.Guard || a >= size {
 				w.blockTrap(start, pc, d0, "load", a)
 			}
-			regs[d.rd] = words[a]
+			if pg := pages[a>>mem.PageShift]; pg != nil {
+				regs[d.rd] = pg[a&mem.PageMask]
+			} else {
+				regs[d.rd] = 0
+			}
 		case isa.Store:
 			a := regs[d.ra] + d.imm
 			if a < mem.Guard || a >= size {
@@ -357,17 +364,26 @@ func (w *Worker) runBlock(start int64, d0 *decoded) {
 			if h := w.M.storeHook; h != nil {
 				h(a)
 			}
-			words[a] = regs[d.rb]
+			if pg := pages[a>>mem.PageShift]; pg != nil {
+				pg[a&mem.PageMask] = regs[d.rb]
+			} else {
+				memory.Store(a, regs[d.rb])
+			}
 		case isa.Tas:
 			a := regs[d.ra] + d.imm
 			if a < mem.Guard || a >= size {
 				w.blockTrap(start, pc, d0, "load", a)
 			}
-			regs[d.rd] = words[a]
 			if h := w.M.storeHook; h != nil {
 				h(a)
 			}
-			words[a] = 1
+			if pg := pages[a>>mem.PageShift]; pg != nil {
+				regs[d.rd] = pg[a&mem.PageMask]
+				pg[a&mem.PageMask] = 1
+			} else {
+				regs[d.rd] = 0
+				memory.Store(a, 1)
+			}
 		case isa.FAdd:
 			regs[d.rd] = f2b(b2f(regs[d.ra]) + b2f(regs[d.rb]))
 		case isa.FSub:
@@ -458,34 +474,34 @@ func (w *Worker) runBlockView(start int64, d0 *decoded, sp *specState) {
 			if a < mem.Guard || a >= size {
 				w.blockTrap(start, pc, d0, "load", a)
 			}
-			pg := v.pages[a>>ChainPageShift]
+			pg := v.pages[a>>mem.PageShift]
 			if pg == nil {
-				pg = v.privatize(a >> ChainPageShift)
+				pg = v.privatize(a >> mem.PageShift)
 			}
-			regs[d.rd] = pg.words[a&chainPageMask]
+			regs[d.rd] = pg[a&mem.PageMask]
 		case isa.Store:
 			a := regs[d.ra] + d.imm
 			if a < mem.Guard || a >= size {
 				w.blockTrap(start, pc, d0, "store", a)
 			}
-			pg := v.pages[a>>ChainPageShift]
+			pg := v.pages[a>>mem.PageShift]
 			if pg == nil {
-				pg = v.privatize(a >> ChainPageShift)
+				pg = v.privatize(a >> mem.PageShift)
 			}
 			val := regs[d.rb]
-			pg.words[a&chainPageMask] = val
+			pg[a&mem.PageMask] = val
 			sp.wlog = append(sp.wlog, memWrite{a, val})
 		case isa.Tas:
 			a := regs[d.ra] + d.imm
 			if a < mem.Guard || a >= size {
 				w.blockTrap(start, pc, d0, "load", a)
 			}
-			pg := v.pages[a>>ChainPageShift]
+			pg := v.pages[a>>mem.PageShift]
 			if pg == nil {
-				pg = v.privatize(a >> ChainPageShift)
+				pg = v.privatize(a >> mem.PageShift)
 			}
-			regs[d.rd] = pg.words[a&chainPageMask]
-			pg.words[a&chainPageMask] = 1
+			regs[d.rd] = pg[a&mem.PageMask]
+			pg[a&mem.PageMask] = 1
 			sp.wlog = append(sp.wlog, memWrite{a, 1})
 		case isa.FAdd:
 			regs[d.rd] = f2b(b2f(regs[d.ra]) + b2f(regs[d.rb]))

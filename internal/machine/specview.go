@@ -10,11 +10,13 @@ import (
 // ("segments") of one virtual worker ahead of its scheduler picks, against
 // a private copy-on-first-touch view of shared memory:
 //
-//   - The view privatizes whole pages (ChainPageWords words) on the first
-//     load or store that touches them, copying from shared memory. All
-//     later accesses hit the private copy at array speed, which keeps the
-//     interpreter's batched fast path available during speculation
-//     (runBlockView) — the property the engine's host speedup depends on.
+//   - The view privatizes whole pages (mem.PageWords words, the shared
+//     page table's own geometry) on the first load or store that touches
+//     them, copying the shared page or zero-filling when it was never
+//     materialized. All later accesses hit the private copy at array
+//     speed, which keeps the interpreter's batched fast path available
+//     during speculation (runBlockView) — the property the engine's host
+//     speedup depends on.
 //
 //   - Every store is additionally appended to the segment's write log. At
 //     the segment's oracle pick the engine flushes exactly those writes to
@@ -35,52 +37,39 @@ import (
 // thunk map and the observability collector are read-only for the entire
 // time any chain executes: the phase is race-free by construction.
 
-// Page geometry of the chained-speculation views. The shift is exported so
-// the engine's write hooks can map addresses to pages.
-const (
-	ChainPageShift = 9
-	ChainPageWords = 1 << ChainPageShift
-	chainPageMask  = ChainPageWords - 1
-)
-
 // memWrite is one logged speculative store.
 type memWrite struct {
 	a, v int64
 }
 
-// viewPage is one privatized page of a chain's memory view.
-type viewPage struct {
-	words [ChainPageWords]int64
-}
-
 // pageView is a chain's private view of shared memory: pages are copied
-// from the shared words on first touch and all accesses hit the copies.
+// from the shared page table on first touch and all accesses hit the
+// copies.
 type pageView struct {
 	// size is the shared-memory size frozen at chain launch; bounds checks
 	// test against it so traps replicate the oracle's exactly. A chain is
 	// invalid once shared memory grows past it.
 	size int64
-	// src is the shared backing array at launch. It is only read during
-	// the bulk-synchronous launch phase, when no shared store or remap can
-	// happen, so reading it from host goroutines is race-free.
-	src []int64
+	// src is the shared page table at launch. It and the pages it points
+	// to are only read during the bulk-synchronous launch phase, when no
+	// shared store, page materialization or remap can happen, so reading
+	// them from host goroutines is race-free.
+	src []*mem.Page
 	// pages maps page number to the private copy (nil = untouched).
-	pages []*viewPage
+	pages []*mem.Page
 	// touched lists privatized page numbers in first-touch order; the
 	// engine uses it to index the chain for conflict detection and to
 	// undo that indexing when the chain dies.
 	touched []int64
 }
 
-// privatize copies page p from shared memory into the view.
-func (v *pageView) privatize(p int64) *viewPage {
-	pg := &viewPage{}
-	base := p << ChainPageShift
-	n := v.size - base
-	if n > ChainPageWords {
-		n = ChainPageWords
+// privatize copies page p from shared memory into the view; a page shared
+// memory never materialized privatizes as zeros.
+func (v *pageView) privatize(p int64) *mem.Page {
+	pg := new(mem.Page)
+	if src := v.src[p]; src != nil {
+		*pg = *src
 	}
-	copy(pg.words[:n], v.src[base:base+n])
 	v.pages[p] = pg
 	v.touched = append(v.touched, p)
 	return pg
@@ -91,11 +80,11 @@ func (v *pageView) load(a int64) int64 {
 	if a < mem.Guard || a >= v.size {
 		panic(&mem.Trap{Kind: "load", Addr: a})
 	}
-	pg := v.pages[a>>ChainPageShift]
+	pg := v.pages[a>>mem.PageShift]
 	if pg == nil {
-		pg = v.privatize(a >> ChainPageShift)
+		pg = v.privatize(a >> mem.PageShift)
 	}
-	return pg.words[a&chainPageMask]
+	return pg[a&mem.PageMask]
 }
 
 // store writes a through the view. The caller logs the write.
@@ -103,11 +92,11 @@ func (v *pageView) store(a, val int64) {
 	if a < mem.Guard || a >= v.size {
 		panic(&mem.Trap{Kind: "store", Addr: a})
 	}
-	pg := v.pages[a>>ChainPageShift]
+	pg := v.pages[a>>mem.PageShift]
 	if pg == nil {
-		pg = v.privatize(a >> ChainPageShift)
+		pg = v.privatize(a >> mem.PageShift)
 	}
-	pg.words[a&chainPageMask] = val
+	pg[a&mem.PageMask] = val
 }
 
 // ChainSeg is one speculated quantum of a chain, held by the throughput
@@ -157,14 +146,14 @@ func (w *Worker) BeginChain() *ChainRun {
 	if w.M.Opts.Trace != nil {
 		return nil
 	}
-	size := w.M.Mem.Size()
+	src := w.M.Mem.Pages()
 	return &ChainRun{
 		w:   w,
 		pre: w.capture(),
 		view: &pageView{
-			size:  size,
-			src:   w.M.Mem.Words(),
-			pages: make([]*viewPage, (size+ChainPageWords-1)>>ChainPageShift),
+			size:  w.M.Mem.Size(),
+			src:   src,
+			pages: make([]*mem.Page, len(src)),
 		},
 	}
 }
@@ -233,12 +222,11 @@ func (c *ChainRun) CommitSeg(seg *ChainSeg, onPage func(page int64)) {
 	w := c.w
 	w.restore(seg.post)
 	if len(seg.st.wlog) > 0 {
-		words := w.M.Mem.Words()
 		last := int64(-1)
 		for _, wr := range seg.st.wlog {
-			words[wr.a] = wr.v
+			w.M.Mem.Store(wr.a, wr.v)
 			if onPage != nil {
-				if p := wr.a >> ChainPageShift; p != last {
+				if p := wr.a >> mem.PageShift; p != last {
 					last = p
 					onPage(p)
 				}

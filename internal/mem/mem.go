@@ -3,11 +3,15 @@
 //
 // The real StackThreads/MP manipulates native stack frames; Go's runtime
 // owns goroutine stacks and moves them, so frame words cannot be patched in
-// place. This package substitutes a flat, stable address space: every
-// address is a word index into a single []int64, stacks are contiguous
-// regions growing toward lower addresses, and a shared heap serves
-// allocations. All frame-link surgery performed by the runtime (reading and
-// patching return-address and saved-FP slots) happens on these words.
+// place. This package substitutes a stable, word-addressed space backed by
+// a table of 512-word pages: like a native stack reserved large and
+// committed lazily, a page costs host memory only once a run stores a
+// nonzero word into it, so setup, checkpoint images and their codec scale
+// with the pages a run touched rather than the address space it mapped.
+// Stacks are contiguous regions growing toward lower addresses, and a
+// shared heap serves allocations. All frame-link surgery performed by the
+// runtime (reading and patching return-address and saved-FP slots) happens
+// on these words.
 package mem
 
 import (
@@ -29,100 +33,118 @@ func (t *Trap) Error() string {
 	return fmt.Sprintf("memory trap: %s at address %d", t.Kind, t.Addr)
 }
 
-// Memory is the flat simulated address space shared by all workers.
+// Memory is the paged simulated address space shared by all workers.
 //
 // Layout (low addresses first):
 //
-//	[0, reserved)                 — unmapped guard region (address 0 stays
+//	[0, Guard)                    — unmapped guard region (address 0 stays
 //	                                invalid so null pointers trap)
-//	[reserved, reserved+heap)     — shared heap (bump allocated, lock is the
+//	[Guard, Guard+heap)           — shared heap (bump allocated, lock is the
 //	                                scheduler's concern)
 //	worker stacks                 — one region per worker, each growing
 //	                                toward lower addresses
 //	worker-local storage          — a few words per worker (maxE cell, ids)
+//
+// Everything in [Guard, Size()) is mapped; only the pages a run has stored
+// a nonzero word into are backed by host memory.
 type Memory struct {
-	words    []int64
+	// pages is the page table, indexed by address >> PageShift. A nil
+	// entry is a mapped page whose words are all zero.
+	pages    []*Page
+	size     Addr
 	heapLo   Addr
 	heapNext Addr
 	heapHi   Addr
 }
 
+// Page geometry: the unit of lazy materialization, of memory images, and of
+// the throughput engine's copy-on-first-touch views.
+const (
+	PageShift = 9
+	PageWords = 1 << PageShift
+	PageMask  = PageWords - 1
+)
+
+// Page is the backing store of one materialized page.
+type Page = [PageWords]int64
+
 // Guard is the number of unmapped low words; address 0 always traps.
 const Guard Addr = 16
 
 // New creates a memory with the given heap capacity in words.
-func New(heapWords int) *Memory { return NewReserved(heapWords, 0) }
-
-// NewReserved creates a memory with the given heap capacity and reserves
-// backing capacity for `extra` more words of future MapStack/MapWords
-// mappings. A caller that knows the final footprint up front (the heap plus
-// every worker's stack) gets a single zeroed allocation instead of a
-// reallocate-and-copy per mapping — the copies dominate per-run setup time
-// for megaword stacks.
-func NewReserved(heapWords int, extra Addr) *Memory {
+func New(heapWords int) *Memory {
 	if heapWords < 0 {
 		panic("mem: negative heap size")
 	}
-	if extra < 0 {
-		extra = 0
-	}
-	size := Guard + Addr(heapWords)
-	m := &Memory{
-		words:    make([]int64, size, size+extra),
-		heapLo:   Guard,
-		heapNext: Guard,
-		heapHi:   size,
-	}
+	m := &Memory{heapLo: Guard, heapNext: Guard, heapHi: Guard + Addr(heapWords)}
+	m.extend(m.heapHi)
 	return m
 }
 
-// Reserve grows the backing array's capacity so that at least `extra` more
-// mapped words fit without reallocating. Contents, length and addresses are
-// unchanged; a no-op when capacity already suffices.
-func (m *Memory) Reserve(extra Addr) {
-	if extra <= 0 {
-		return
+// NewReserved is New and reserves nothing: extra is ignored, because pages
+// materialize on their first nonzero store. It remains for a caller that
+// still passes a footprint (the benchmark's traced setup in perfbench).
+func NewReserved(heapWords int, extra Addr) *Memory { return New(heapWords) }
+
+// extend maps every address below size, growing the page table with nil
+// (zero) pages.
+func (m *Memory) extend(size Addr) {
+	m.size = size
+	if np := int((size + PageMask) >> PageShift); np > len(m.pages) {
+		m.pages = append(m.pages, make([]*Page, np-len(m.pages))...)
 	}
-	need := len(m.words) + int(extra)
-	if need <= cap(m.words) {
-		return
-	}
-	nw := make([]int64, len(m.words), need)
-	copy(nw, m.words)
-	m.words = nw
 }
 
 // Size returns the total number of mapped words (including the guard).
-func (m *Memory) Size() Addr { return Addr(len(m.words)) }
+func (m *Memory) Size() Addr { return m.size }
 
-// Words exposes the backing word array (index = address) for the
-// interpreter's batched fast path, which performs its own guard check per
-// access. The slice header is invalidated by the next MapStack/MapWords or
-// heap growth, so callers must re-fetch it at every batch boundary and never
-// retain it across a runtime call.
-func (m *Memory) Words() []int64 { return m.words }
+// Pages exposes the page table for the interpreter's batched fast path and
+// the throughput engine's page views, which perform their own guard check
+// per access. A nil entry reads as zero; callers store to one through
+// Store, which materializes it in this same table. The slice header is
+// invalidated by the next MapStack/MapWords or ImportState, so callers
+// re-fetch it at every batch boundary and retain it only while nothing can
+// map memory (a chain's view, for its bulk-synchronous launch phase).
+func (m *Memory) Pages() []*Page { return m.pages }
 
 // HeapLo returns the first heap address.
 func (m *Memory) HeapLo() Addr { return m.heapLo }
+
+// HeapHi returns the address just past the heap, where the first region
+// MapStack/MapWords maps begins.
+func (m *Memory) HeapHi() Addr { return m.heapHi }
 
 // HeapUsed returns the number of heap words currently allocated.
 func (m *Memory) HeapUsed() Addr { return m.heapNext - m.heapLo }
 
 // Load reads one word. It panics with *Trap on an unmapped address; the
-// machine recovers the trap at its run boundary.
+// machine recovers the trap at its run boundary. Reading a page that was
+// never stored to returns 0 without materializing it.
 func (m *Memory) Load(a Addr) int64 {
-	if a < Guard || a >= Addr(len(m.words)) {
+	if a < Guard || a >= m.size {
 		panic(&Trap{Kind: "load", Addr: a})
 	}
-	return m.words[a]
+	if pg := m.pages[a>>PageShift]; pg != nil {
+		return pg[a&PageMask]
+	}
+	return 0
 }
 
-// Store writes one word, trapping like Load on an unmapped address.
+// Store writes one word, trapping like Load on an unmapped address. The
+// first nonzero store into a page materializes it.
 func (m *Memory) Store(a Addr, v int64) {
-	if a < Guard || a >= Addr(len(m.words)) {
+	if a < Guard || a >= m.size {
 		panic(&Trap{Kind: "store", Addr: a})
 	}
-	m.words[a] = v
+	pg := m.pages[a>>PageShift]
+	if pg == nil {
+		if v == 0 {
+			return
+		}
+		pg = new(Page)
+		m.pages[a>>PageShift] = pg
+	}
+	pg[a&PageMask] = v
 }
 
 // LoadF and StoreF move float64 values through raw word bits.
@@ -150,22 +172,13 @@ func (m *Memory) Alloc(n Addr) (Addr, error) {
 // MapStack appends a new stack region of n words and returns it. Regions are
 // mapped after the current end of memory, so each worker's stack occupies a
 // disjoint address range — the property the epilogue locality test relies on.
+// Mapping only extends the page table; no word is touched.
 func (m *Memory) MapStack(n Addr) Region {
 	if n <= 0 {
 		panic("mem: MapStack: non-positive size")
 	}
-	lo := Addr(len(m.words))
-	total := len(m.words) + int(n)
-	if total <= cap(m.words) {
-		// The spare capacity is zero: backing arrays only ever come from
-		// make (which zeroes the whole array up to its capacity) and the
-		// mapped length never shrinks, so nothing has written past len.
-		m.words = m.words[:total]
-	} else {
-		nw := make([]int64, total)
-		copy(nw, m.words)
-		m.words = nw
-	}
+	lo := m.size
+	m.extend(lo + n)
 	return Region{Lo: lo, Hi: lo + n}
 }
 

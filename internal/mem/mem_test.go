@@ -112,3 +112,86 @@ func TestFloatBitsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPagesMaterializeOnNonzeroStore checks the lazy page table: mapping
+// and loading touch no page, a zero store into an untouched page leaves it
+// unmaterialized, and the first nonzero store materializes exactly its own
+// page.
+func TestPagesMaterializeOnNonzeroStore(t *testing.T) {
+	m := New(PageWords)
+	r := m.MapStack(4 * PageWords)
+	materialized := func() int {
+		n := 0
+		for _, pg := range m.Pages() {
+			if pg != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if got := testing.AllocsPerRun(10, func() { _ = m.Load(r.Lo + 3) }); got != 0 {
+		t.Fatalf("Load of an untouched page allocated %v times", got)
+	}
+	m.Store(r.Lo+5, 0)
+	if n := materialized(); n != 0 {
+		t.Fatalf("%d pages materialized by mapping, loads and a zero store", n)
+	}
+	m.Store(r.Hi-1, -9)
+	if n := materialized(); n != 1 || m.Pages()[(r.Hi-1)>>PageShift] == nil {
+		t.Fatalf("a nonzero store materialized %d pages", n)
+	}
+	if got := m.Load(r.Hi - 1); got != -9 {
+		t.Fatalf("Load = %d, want -9", got)
+	}
+	if got := m.Load(r.Hi - 2); got != 0 {
+		t.Fatalf("neighbor of a stored word = %d, want 0", got)
+	}
+}
+
+// TestStateRoundTrip checks an exported image carries exactly the nonzero
+// pages and installs onto a freshly built memory with its contents, size
+// and heap pointer intact.
+func TestStateRoundTrip(t *testing.T) {
+	build := func() *Memory {
+		m := New(2 * PageWords)
+		m.MapStack(3 * PageWords)
+		return m
+	}
+	src := build()
+	base, _ := src.Alloc(10)
+	src.Store(base, 1)
+	a2 := src.Size() - 1
+	src.Store(a2, 2)
+	src.MapStack(PageWords) // mapped after construction, as segmented stacks do
+	a3 := src.Size() - 1
+	src.Store(a3, 3)
+	st := src.ExportState()
+	if len(st.Index) != 3 || len(st.Words) != 3*PageWords {
+		t.Fatalf("image holds pages %v (%d words), want 3 pages", st.Index, len(st.Words))
+	}
+	if err := st.Validate(); err != nil {
+		t.Fatalf("Validate of an exported image: %v", err)
+	}
+	dst := build()
+	if err := dst.ImportState(st); err != nil {
+		t.Fatalf("ImportState: %v", err)
+	}
+	if dst.Size() != src.Size() || dst.HeapUsed() != src.HeapUsed() {
+		t.Fatalf("size/heap = %d/%d, want %d/%d", dst.Size(), dst.HeapUsed(), src.Size(), src.HeapUsed())
+	}
+	for _, a := range []Addr{base, a2, a3} {
+		if dst.Load(a) != src.Load(a) {
+			t.Fatalf("word %d = %d, want %d", a, dst.Load(a), src.Load(a))
+		}
+	}
+	if _, ok := func() (v int64, ok bool) {
+		defer func() { ok = recover() != nil }()
+		return dst.Load(dst.Size()), false
+	}(); !ok {
+		t.Fatal("load past the imported size did not trap")
+	}
+	// Importing an image smaller than the current mapping is refused.
+	if err := build().ImportState(New(PageWords).ExportState()); err == nil {
+		t.Fatal("a smaller image was accepted")
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/machine"
+	"repro/internal/mem"
 )
 
 // This file is the throughput engine. It is result-deterministic —
@@ -140,7 +141,7 @@ func (s *scheduler) loopThroughput() error {
 	// gains bits (a launch), so no marking is ever skipped.
 	hookLast := int64(-1)
 	hook := func(a int64) {
-		p := a >> machine.ChainPageShift
+		p := a >> mem.PageShift
 		if p == hookLast {
 			return
 		}
@@ -214,8 +215,8 @@ func (s *scheduler) loopThroughput() error {
 		if len(cand) < 2 {
 			return
 		}
-		if np := (s.m.Mem.Size() + machine.ChainPageWords - 1) >> machine.ChainPageShift; np > int64(len(readers)) {
-			readers = append(readers, make([]uint64, np-int64(len(readers)))...)
+		if np := len(s.m.Mem.Pages()); np > len(readers) {
+			readers = append(readers, make([]uint64, np-len(readers))...)
 		}
 		epoch := make([]*tchain, 0, len(cand))
 		for _, i := range cand {

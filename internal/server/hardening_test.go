@@ -262,6 +262,42 @@ func TestServeChaosDifferential(t *testing.T) {
 		}
 		want[i] = jobOut(clean, j)
 	}
+
+	plan := func() *fault.Plan {
+		return &fault.Plan{
+			Name: "test-serve", Seed: 11,
+			ExecPanicPct: 40, ExecDelayPct: 30, ExecDelayMs: 5,
+		}
+	}
+	// The executor rolls its panic on (CacheKey, attempt), and the key
+	// embeds the snapshot format version, so which tuples panic shifts
+	// with the format. Roll the plan's own injector the same way to add
+	// one tuple whose first attempt is sure to panic: the restart path is
+	// always covered.
+	roll := fault.New(plan())
+	for seed := uint64(4); ; seed++ {
+		if seed > 200 {
+			t.Fatal("no fib seed in 4..200 panics on its first attempt")
+		}
+		req := JobRequest{App: "fib", Workers: 4, Seed: seed}
+		norm, err := req.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if roll.ExecPanic(norm.CacheKey(), 1) {
+			tuples = append(tuples, req)
+			j, err := clean.Submit(req)
+			if err != nil {
+				t.Fatalf("clean Submit: %v", err)
+			}
+			waitTerminal(t, j)
+			if st := jobState(clean, j); st != StateDone {
+				t.Fatalf("clean job seed %d state %q (%s)", seed, st, jobErr(clean, j))
+			}
+			want = append(want, jobOut(clean, j))
+			break
+		}
+	}
 	clean.Drain()
 
 	chaos := New(Config{
@@ -269,13 +305,11 @@ func TestServeChaosDifferential(t *testing.T) {
 		// No cache: every attempt must actually execute under faults.
 		CacheEntries:     -1,
 		BreakerThreshold: -1,
-		Fault: fault.New(&fault.Plan{
-			Name: "test-serve", Seed: 11,
-			ExecPanicPct: 40, ExecDelayPct: 30, ExecDelayMs: 5,
-		}),
+		Fault:            fault.New(plan()),
 	})
 	defer chaos.Drain()
 
+	failed := int64(0)
 	for i, req := range tuples {
 		var got *JobOutput
 		for attempt := 1; attempt <= 12; attempt++ {
@@ -294,6 +328,7 @@ func TestServeChaosDifferential(t *testing.T) {
 					t.Fatalf("tuple %d attempt %d: failure %q (%s), want %q",
 						i, attempt, f, jobErr(chaos, j), FailFault)
 				}
+				failed++
 			default:
 				t.Fatalf("tuple %d attempt %d: state %q", i, attempt, st)
 			}
@@ -308,8 +343,11 @@ func TestServeChaosDifferential(t *testing.T) {
 			t.Fatalf("tuple %d: chaos output diverged from clean run: %v", i, err)
 		}
 	}
-	if chaos.Stats().ExecutorRestarts == 0 {
-		t.Fatal("plan with 40% exec panics never restarted a slot — injection not reaching the executor")
+	if failed == 0 {
+		t.Fatal("the tuple whose first attempt the plan panics never failed — injection not reaching the executor")
+	}
+	if got := chaos.Stats().ExecutorRestarts; got != failed {
+		t.Fatalf("executor restarts = %d, want one per failed attempt (%d)", got, failed)
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 // layout change; decoders reject other versions with a *VersionError, and
 // the serving layer keys caches and checkpoints by it so an upgraded node
 // can never serve or resume a stale-format artifact.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // magic identifies snapshot files/payloads.
 var magic = [6]byte{'S', 'T', 'S', 'N', 'A', 'P'}
@@ -262,6 +262,8 @@ func Encode(s *Snapshot) ([]byte, error) {
 }
 
 func encodeMach(w *writer, st *machine.State) {
+	w.i64(st.Mem.Size)
+	w.i64s(st.Mem.Index)
 	w.i64s(st.Mem.Words)
 	w.i64(st.Mem.HeapNext)
 	w.u64(uint64(len(st.Workers)))
@@ -444,7 +446,9 @@ func DecodeKey(b []byte) (string, error) {
 
 // Decode deserializes an encoded snapshot, validating magic, version,
 // checksum and structure. It returns ErrBadMagic, a *VersionError or
-// ErrCorrupt (possibly wrapped) on invalid input.
+// ErrCorrupt (possibly wrapped) on invalid input; a malformed memory image
+// is ErrCorrupt wrapping a *mem.ImageError. Every allocation is bounded by
+// the payload size.
 func Decode(b []byte) (*Snapshot, error) {
 	r, err := header(b)
 	if err != nil {
@@ -481,14 +485,19 @@ func Decode(b []byte) (*Snapshot, error) {
 	if r.off != len(r.b) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.b)-r.off)
 	}
+	// The memory image arrives from peers and checkpoint directories and
+	// sizes the page table a resume allocates: bound it by the regions the
+	// workers name before anyone acts on it.
+	if err := s.Mach.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
 	return s, nil
 }
 
 func decodeMach(r *reader) *machine.State {
 	st := &machine.State{
-		Mem: &mem.State{Words: r.i64s()},
+		Mem: &mem.State{Size: r.i64(), Index: r.i64s(), Words: r.i64s(), HeapNext: r.i64()},
 	}
-	st.Mem.HeapNext = r.i64()
 	nw := r.count(8 * (int(isa.NumRegs) + 2))
 	for i := 0; i < nw; i++ {
 		var ws machine.WorkerState

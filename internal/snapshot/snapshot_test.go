@@ -17,6 +17,15 @@ import (
 	"repro/internal/sched"
 )
 
+// sampleMem is a memory image sized to sample's regions (they end at
+// 1<<18+512) holding two nonzero pages.
+func sampleMem() *mem.State {
+	words := make([]int64, 2*mem.PageWords)
+	copy(words[mem.Guard:], []int64{1, -2, 3})
+	words[mem.PageWords+4] = 1 << 40
+	return &mem.State{Size: 1<<18 + 512, Index: []int64{0, 300}, Words: words, HeapNext: 1 << 6}
+}
+
 // sample builds a snapshot exercising every field of the format, including
 // empty and non-empty variants of the optional collections.
 func sample() *Snapshot {
@@ -45,7 +54,7 @@ func sample() *Snapshot {
 		Key:     "app=fib|n=20|mode=st|workers=2|seed=1",
 		TraceID: "a1b2c3d4",
 		Mach: &machine.State{
-			Mem:       &mem.State{Words: []int64{0, 1, -2, 3, 1 << 40}, HeapNext: 1 << 20},
+			Mem:       sampleMem(),
 			Workers:   []machine.WorkerState{w0, w1},
 			Thunks:    []machine.ThunkState{th},
 			NextThunk: 5,
@@ -122,7 +131,7 @@ func TestRoundTripMinimal(t *testing.T) {
 	s := &Snapshot{
 		Key: "k",
 		Mach: &machine.State{
-			Mem:     &mem.State{Words: []int64{}, HeapNext: 0},
+			Mem:     &mem.State{Size: 512},
 			Workers: []machine.WorkerState{{Segs: []machine.SegState{{Lo: 0, Hi: 512}}}},
 		},
 		Sched: &sched.SchedState{Status: []int{0}, WakeAt: []int64{0}, Reqs: []sched.ReqState{{Thief: -1}}, Spurious: []bool{false}},
