@@ -90,7 +90,9 @@ func main() {
 	run := func(f int) error {
 		t0 := time.Now()
 		defer func() {
-			fmt.Printf("[figure %d: %.2fs host wall-clock on %d cores, engine %v]\n",
+			// Host timing goes to stderr so stdout depends only on the
+			// deterministic figures.
+			fmt.Fprintf(os.Stderr, "[figure %d: %.2fs host wall-clock on %d cores, engine %v]\n",
 				f, time.Since(t0).Seconds(), hostpar.Procs(*hostprocs), eng)
 		}()
 		switch f {

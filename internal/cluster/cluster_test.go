@@ -612,6 +612,35 @@ func TestInfoAndDebugSurfaces(t *testing.T) {
 	}
 }
 
+// TestUnknownAppRejectedThroughNode: a cluster node rejects an unknown app
+// at its edge with the same 400 and error text a bare server gives, whether
+// the request arrives from a client or as a peer's forward, and no node
+// admits it.
+func TestUnknownAppRejectedThroughNode(t *testing.T) {
+	nodes := startCluster(t, 2, server.Config{QueueBound: 8, HostProcs: 1, CacheEntries: 8},
+		func(i int, c *Config) {})
+	a := nodes[0]
+	req := server.JobRequest{App: "no-such-benchmark", Wait: true}
+	for _, hdr := range []map[string]string{nil, {HeaderForwarded: nodes[1].addr}} {
+		resp, body := postJSON(t, a.url()+"/jobs", req, hdr)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("headers %v: status = %d, body %s", hdr, resp.StatusCode, body)
+		}
+		var ev errView
+		if err := json.Unmarshal(body, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if want := `figures: unknown benchmark "no-such-benchmark"`; ev.Error != want {
+			t.Fatalf("headers %v: error %q, want %q", hdr, ev.Error, want)
+		}
+	}
+	for _, tn := range nodes {
+		if st := tn.srv.Stats(); st.Accepted != 0 {
+			t.Fatalf("node %s admitted a rejected request: accepted = %d", tn.addr, st.Accepted)
+		}
+	}
+}
+
 // TestFetchStealFullScaleGrant serves fetchSteal a grant built from a real
 // mid-run capture of an 8-worker full-scale fib job, exactly as a victim's
 // /cluster/steal would send it, and checks the thief decodes it intact.

@@ -69,6 +69,24 @@ var BenchNames = []string{
 
 // Workload builds the named benchmark at the given scale and variant.
 func Workload(name string, sc Scale, v apps.Variant) (*apps.Workload, error) {
+	build, err := builder(name, sc, v)
+	if err != nil {
+		return nil, err
+	}
+	return build(), nil
+}
+
+// CheckName reports whether Workload accepts the benchmark name, with
+// Workload's own error, without building anything: some inputs take long
+// to construct (full-scale fft computes a 4096-point reference DFT).
+func CheckName(name string) error {
+	_, err := builder(name, Quick, apps.ST)
+	return err
+}
+
+// builder resolves a benchmark name to a deferred constructor. Workload and
+// CheckName share this one switch, so the accepted names cannot drift.
+func builder(name string, sc Scale, v apps.Variant) (func() *apps.Workload, error) {
 	type sizes struct{ quick, full int64 }
 	pick := func(s sizes) int64 {
 		if sc == Full {
@@ -78,27 +96,31 @@ func Workload(name string, sc Scale, v apps.Variant) (*apps.Workload, error) {
 	}
 	switch name {
 	case "cilksort":
-		return apps.Cilksort(pick(sizes{800, 20000}), v, 11), nil
+		return func() *apps.Workload { return apps.Cilksort(pick(sizes{800, 20000}), v, 11) }, nil
 	case "notempmul":
-		return apps.Notempmul(pick(sizes{12, 96}), v, 21), nil
+		return func() *apps.Workload { return apps.Notempmul(pick(sizes{12, 96}), v, 21) }, nil
 	case "knapsack":
-		n := pick(sizes{14, 24})
-		return apps.Knapsack(int(n), 10*n/2, v, 5), nil
+		return func() *apps.Workload {
+			n := pick(sizes{14, 24})
+			return apps.Knapsack(int(n), 10*n/2, v, 5)
+		}, nil
 	case "fib":
-		return apps.Fib(pick(sizes{15, 25}), v), nil
+		return func() *apps.Workload { return apps.Fib(pick(sizes{15, 25}), v) }, nil
 	case "heat":
-		g := pick(sizes{16, 128})
-		return apps.Heat(g, g, pick(sizes{6, 24}), v, 31), nil
+		return func() *apps.Workload {
+			g := pick(sizes{16, 128})
+			return apps.Heat(g, g, pick(sizes{6, 24}), v, 31)
+		}, nil
 	case "lu":
-		return apps.LU(pick(sizes{12, 128}), v, 32), nil
+		return func() *apps.Workload { return apps.LU(pick(sizes{12, 128}), v, 32) }, nil
 	case "fft":
-		return apps.FFT(pick(sizes{128, 4096}), v, 33), nil
+		return func() *apps.Workload { return apps.FFT(pick(sizes{128, 4096}), v, 33) }, nil
 	case "spacemul":
-		return apps.Spacemul(pick(sizes{12, 48}), v, 23), nil
+		return func() *apps.Workload { return apps.Spacemul(pick(sizes{12, 48}), v, 23) }, nil
 	case "blockedmul":
-		return apps.Blockedmul(pick(sizes{12, 96}), v, 22), nil
+		return func() *apps.Workload { return apps.Blockedmul(pick(sizes{12, 96}), v, 22) }, nil
 	case "magic":
-		return apps.Magic(v, 34), nil
+		return func() *apps.Workload { return apps.Magic(v, 34) }, nil
 	}
 	return nil, fmt.Errorf("figures: unknown benchmark %q", name)
 }

@@ -94,6 +94,26 @@ func TestWorkloadCatalog(t *testing.T) {
 	}
 }
 
+// TestCheckNameMatchesWorkload: CheckName accepts exactly the names
+// Workload builds and rejects the rest with Workload's own error.
+func TestCheckNameMatchesWorkload(t *testing.T) {
+	for _, name := range figures.BenchNames {
+		if err := figures.CheckName(name); err != nil {
+			t.Errorf("CheckName(%q) = %v", name, err)
+		}
+	}
+	for _, name := range []string{"nope", "", "FIB", "pingpong"} {
+		_, werr := figures.Workload(name, figures.Quick, apps.ST)
+		cerr := figures.CheckName(name)
+		if werr == nil || cerr == nil || werr.Error() != cerr.Error() {
+			t.Errorf("%q: Workload err %v, CheckName err %v", name, werr, cerr)
+		}
+	}
+	if got, want := figures.CheckName("nope").Error(), `figures: unknown benchmark "nope"`; got != want {
+		t.Errorf("error text %q, want %q", got, want)
+	}
+}
+
 // TestSpecFigureNumbers pins the figure numbering.
 func TestSpecFigureNumbers(t *testing.T) {
 	want := map[string]int{"sparc": 17, "x86": 18, "mips": 19, "alpha": 20, "vax": 0}

@@ -156,6 +156,32 @@ type JobTrace struct {
 	Trace []byte
 }
 
+// chromeEvent is one trace_event entry in the Chrome/Perfetto JSON schema
+// (the "JSON Array Format" with a traceEvents wrapper). The two-clock merge
+// parses job traces into it and re-encodes them with encoding/json.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Ts   int64          `json:"ts"`
+	Dur  int64          `json:"dur,omitempty"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	S    string         `json:"s,omitempty"` // instant scope: "t" = thread
+	Args map[string]any `json:"args,omitempty"`
+}
+
+type chromeTrace struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+	Meta            chromeMeta    `json:"metadata"`
+}
+
+type chromeMeta struct {
+	Tool  string `json:"tool"`
+	Note  string `json:"note"`
+	Cycle string `json:"cycle-unit"`
+}
+
 // WriteTwoClockTrace renders host-time spans and per-job virtual-time
 // traces as a single Chrome trace_event file with two clock domains kept on
 // separate track groups:

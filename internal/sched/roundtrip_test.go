@@ -167,11 +167,15 @@ func TestRoundTripMatrix(t *testing.T) {
 		func() *apps.Workload { return apps.Heat(8, 8, 4, apps.ST, 2) },
 	}
 	seeds := diffSeeds()
-	tuple := 0
 	for wi, mk := range workloads {
 		name := mk().Name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
+			// Each subtest rotates through the engine pairs on its own
+			// counter, so its coverage does not depend on how the parallel
+			// subtests interleave.
+			tuple := 0
+			crossed := map[[2]core.Engine]bool{}
 			for _, mode := range []core.Mode{core.StackThreads, core.Cilk} {
 				for _, workers := range []int{2, 4} {
 					for _, seed := range seeds {
@@ -188,6 +192,7 @@ func TestRoundTripMatrix(t *testing.T) {
 						n := len(rtEngines)
 						capEng := rtEngines[tuple%n]
 						resEng := rtEngines[(tuple/n+tuple)%n]
+						crossed[[2]core.Engine{capEng, resEng}] = true
 						for _, pair := range [][2]core.Engine{
 							{core.EngineSequential, core.EngineSequential},
 							{capEng, resEng},
@@ -201,6 +206,10 @@ func TestRoundTripMatrix(t *testing.T) {
 						}
 					}
 				}
+			}
+			if want := len(rtEngines) * len(rtEngines); len(crossed) != want {
+				t.Fatalf("%d tuples crossed %d capture×resume engine pairs, want all %d: %v",
+					tuple, len(crossed), want, crossed)
 			}
 		})
 	}
