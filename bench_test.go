@@ -8,10 +8,7 @@
 package repro_test
 
 import (
-	"reflect"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -131,50 +128,6 @@ func BenchmarkTable2MachineThroughput(b *testing.B) {
 		cycles += res.WorkCycles
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "vcycles/s")
-}
-
-// BenchmarkEngineSpeedup runs a Figure-22-scale simulation under the
-// sequential oracle and the throughput engine, checks the results are
-// identical, and reports the wall-clock speedup. The two legs alternate
-// which runs first on each iteration, so warm-up and cache effects cannot
-// favour either. host-speedup approaches the host's core count on
-// steal-heavy runs and is ~1 on a single-core host; host-cores records the
-// context. On multi-core CI runners the sub-benchmark is gated by an
-// absolute floor (see ci.yml bench-speedup).
-func BenchmarkEngineSpeedup(b *testing.B) {
-	const workers = 16
-	run := func(eng core.Engine) (*core.Result, time.Duration) {
-		w := apps.Fib(22, apps.ST)
-		t0 := time.Now()
-		res, err := core.Run(w, core.Config{
-			Mode: core.StackThreads, Workers: workers, Seed: 1, Engine: eng,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res, time.Since(t0)
-	}
-	b.Run(core.EngineThroughput.String(), func(b *testing.B) {
-		var seqT, tpT time.Duration
-		for i := 0; i < b.N; i++ {
-			var seqRes, tpRes *core.Result
-			var st, tt time.Duration
-			if i%2 == 0 {
-				seqRes, st = run(core.EngineSequential)
-				tpRes, tt = run(core.EngineThroughput)
-			} else {
-				tpRes, tt = run(core.EngineThroughput)
-				seqRes, st = run(core.EngineSequential)
-			}
-			if !reflect.DeepEqual(seqRes, tpRes) {
-				b.Fatalf("engines diverged: sequential %+v vs throughput %+v", seqRes, tpRes)
-			}
-			seqT += st
-			tpT += tt
-		}
-		b.ReportMetric(seqT.Seconds()/tpT.Seconds(), "host-speedup")
-		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "host-cores")
-	})
 }
 
 func itoa(n int) string {

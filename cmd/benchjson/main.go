@@ -12,8 +12,7 @@
 // Gate against an absolute floor (for benefit metrics, where the tolerance
 // check's bigger-is-worse convention is backwards):
 //
-//	benchjson -check -pr BENCH_PR.json \
-//	    -floor 'BenchmarkEngineSpeedup/throughput:host-speedup:1.8'
+//	benchjson -check -pr BENCH_PR.json -floor 'BenchmarkName/sub:metric:1.8'
 //
 // Only deterministic virtual-time metrics are gated by default: figures like
 // st-rel-avg or st/cilk are pure functions of the simulated configuration

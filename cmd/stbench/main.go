@@ -55,8 +55,7 @@ func main() {
 		full      = flag.Bool("full", false, "paper-scale inputs (slow); default quick")
 		bench     = flag.String("bench", "", "comma-separated benchmark subset for -fig 21/22")
 		ablate    = flag.Bool("ablate", false, "run the design-choice ablations instead of a figure")
-		engine    = flag.String("engine", "default", "host engine per run: sequential or throughput")
-		hostprocs = flag.Int("hostprocs", 0, "host cores for fanning data points and the throughput engine (0 = all)")
+		hostprocs = flag.Int("hostprocs", 0, "host cores for fanning independent data points (0 = all)")
 		maxcycles = flag.Int64("maxcycles", 0, "per-run total work-cycle budget (0 = unlimited)")
 		audit     = flag.Int64("audit-every", 0, "audit the paper's 3.2 invariants every N scheduler picks inside each run (0 = off)")
 		hotpath   = flag.Bool("hotpath", false, "measure interpreter speed (host-ns per virtual cycle) on the hot-path trio")
@@ -71,12 +70,7 @@ func main() {
 		return
 	}
 
-	eng, err := core.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stbench:", err)
-		os.Exit(2)
-	}
-	opts := figures.Opts{HostProcs: *hostprocs, Engine: eng, MaxWorkCycles: *maxcycles, AuditEvery: *audit}
+	opts := figures.Opts{HostProcs: *hostprocs, MaxWorkCycles: *maxcycles, AuditEvery: *audit}
 
 	sc := figures.Quick
 	if *full {
@@ -92,8 +86,8 @@ func main() {
 		defer func() {
 			// Host timing goes to stderr so stdout depends only on the
 			// deterministic figures.
-			fmt.Fprintf(os.Stderr, "[figure %d: %.2fs host wall-clock on %d cores, engine %v]\n",
-				f, time.Since(t0).Seconds(), hostpar.Procs(*hostprocs), eng)
+			fmt.Fprintf(os.Stderr, "[figure %d: %.2fs host wall-clock on %d cores]\n",
+				f, time.Since(t0).Seconds(), hostpar.Procs(*hostprocs))
 		}()
 		switch f {
 		case 17, 18, 19, 20:

@@ -1,9 +1,9 @@
 // Command stfuzz sweeps adversarial stack-safety programs over seed ranges:
 // every seed becomes a hostile-but-well-formed fork-tree program (see
-// internal/advprog) run on both engines with per-frame canaries armed,
-// the Section 3.2 auditor at cadence 1, and a rotating fault plan injected.
-// Any caller-integrity or frame-confidentiality break, result divergence or
-// canary leak fails the sweep.
+// internal/advprog) run with per-frame canaries armed, the Section 3.2
+// auditor at cadence 1, and a rotating fault plan injected. Any
+// caller-integrity or frame-confidentiality break, wrong result or canary
+// leak fails the sweep.
 //
 // Usage:
 //
@@ -87,7 +87,6 @@ func run(seed uint64, cls advprog.Class, plan string, workers int) error {
 	p := advprog.FromSeed(seed, cls)
 	return advprog.Verify(p, advprog.VerifyOpts{
 		Workers: workers,
-		Engines: advprog.AllEngines(),
 		Plan:    plan,
 	})
 }

@@ -122,7 +122,6 @@ func main() {
 		mode      = flag.String("mode", "st", "execution mode: seq, st, cilk")
 		workers   = flag.Int("workers", 4, "virtual workers per job")
 		full      = flag.Bool("full", false, "paper-scale inputs")
-		engine    = flag.String("engine", "", "host engine per job: sequential or throughput")
 		levels    = flag.String("c", "1,2,4", "comma-separated offered concurrency levels")
 		n         = flag.Int("n", 100, "requests per level")
 		seeds     = flag.Uint64("seeds", 1, "cycle seeds 1..N (1 = one tuple; 0 = unique seed per request)")
@@ -221,9 +220,6 @@ func main() {
 					}
 					if *full {
 						req["full"] = true
-					}
-					if *engine != "" {
-						req["engine"] = *engine
 					}
 					if *priority != 0 {
 						req["priority"] = *priority

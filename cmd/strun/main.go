@@ -36,8 +36,6 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "scheduler seed")
 		check     = flag.Bool("check", false, "enable the stack-invariant checker")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
-		engine    = flag.String("engine", "default", "host engine: sequential or throughput (identical results)")
-		hostprocs = flag.Int("hostprocs", 0, "host cores for the throughput engine (0 = all)")
 		maxcycles = flag.Int64("maxcycles", 0, "abort after this many total work cycles (0 = unlimited)")
 		faultFlag = flag.String("fault", "", "deterministic fault plan, name[:seed] (see -list-faults)")
 		listF     = flag.Bool("list-faults", false, "list named fault plans and exit")
@@ -62,11 +60,6 @@ func main() {
 	if *full {
 		sc = figures.Full
 	}
-	eng, err := core.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "strun:", err)
-		os.Exit(2)
-	}
 	plan, err := fault.ParsePlan(*faultFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "strun:", err)
@@ -83,8 +76,6 @@ func main() {
 		CPU:             isa.CostModelByName(*cpu),
 		Seed:            *seed,
 		CheckInvariants: *check,
-		Engine:          eng,
-		HostProcs:       *hostprocs,
 		MaxWorkCycles:   *maxcycles,
 		Fault:           inj,
 		Audit:           aud,
@@ -126,7 +117,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "strun:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("app=%s mode=%s workers=%d cpu=%s engine=%v\n", *app, *mode, *workers, *cpu, eng)
+	fmt.Printf("app=%s mode=%s workers=%d cpu=%s\n", *app, *mode, *workers, *cpu)
 	fmt.Printf("result        %d (verified)\n", res.RV)
 	fmt.Printf("elapsed       %d cycles\n", res.Time)
 	fmt.Printf("host          %.3fs wall-clock (%.1f Mcycles/s)\n",

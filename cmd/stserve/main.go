@@ -35,7 +35,7 @@
 //	GET    /metrics     metrics registry snapshot (?format=prom for
 //	                    Prometheus text exposition)
 //	GET    /debug/jobs  live in-flight jobs: phase, progress, queue depth,
-//	                    breaker state, engine contention
+//	                    breaker state, batched-tier residency
 //	GET    /healthz     liveness + draining flag
 //
 // Serving events are logged structured (JSON by default, -log text for
@@ -63,7 +63,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hostpar"
 	"repro/internal/obs"
@@ -76,7 +75,6 @@ func main() {
 		addr      = flag.String("addr", ":8135", "listen address")
 		queue     = flag.Int("queue", 64, "admission queue bound (full = HTTP 429)")
 		hostprocs = flag.Int("hostprocs", 0, "executor slots: jobs running concurrently (0 = all cores)")
-		engine    = flag.String("engine", "", "default engine for jobs that don't pick one: sequential or throughput (empty = ST_ENGINE, then sequential)")
 		cache     = flag.Int("cache", 256, "result cache entries (negative disables)")
 		timeout   = flag.Duration("timeout", 0, "default per-job execution deadline (0 = none)")
 		maxcycles = flag.Int64("maxcycles", 0, "server-wide work-cycle ceiling per job (0 = none)")
@@ -100,10 +98,6 @@ func main() {
 
 	plan, err := fault.ParsePlan(*faultFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stserve:", err)
-		os.Exit(2)
-	}
-	if _, err := core.ParseEngine(*engine); err != nil {
 		fmt.Fprintln(os.Stderr, "stserve:", err)
 		os.Exit(2)
 	}
@@ -138,7 +132,6 @@ func main() {
 	s := server.New(server.Config{
 		QueueBound:       *queue,
 		HostProcs:        *hostprocs,
-		DefaultEngine:    *engine,
 		CacheEntries:     *cache,
 		DefaultTimeout:   *timeout,
 		MaxWorkCycles:    *maxcycles,

@@ -31,17 +31,15 @@ import (
 
 func main() {
 	var (
-		app       = flag.String("app", "pingpong", "benchmark name")
-		mode      = flag.String("mode", "st", "st or cilk")
-		workers   = flag.Int("workers", 4, "worker count")
-		seed      = flag.Uint64("seed", 1, "scheduler seed")
-		full      = flag.Bool("full", false, "paper-scale input")
-		summary   = flag.Bool("summary", false, "print event counts only")
-		chrome    = flag.String("chrome", "", "write Chrome trace_event JSON to this file")
-		metrics   = flag.String("metrics", "", "write the metrics registry snapshot to this file")
-		profile   = flag.Bool("profile", false, "print the phase breakdown and profiler top table")
-		engine    = flag.String("engine", "default", "host engine: sequential or throughput (identical traces)")
-		hostprocs = flag.Int("hostprocs", 0, "host cores for the throughput engine (0 = all)")
+		app     = flag.String("app", "pingpong", "benchmark name")
+		mode    = flag.String("mode", "st", "st or cilk")
+		workers = flag.Int("workers", 4, "worker count")
+		seed    = flag.Uint64("seed", 1, "scheduler seed")
+		full    = flag.Bool("full", false, "paper-scale input")
+		summary = flag.Bool("summary", false, "print event counts only")
+		chrome  = flag.String("chrome", "", "write Chrome trace_event JSON to this file")
+		metrics = flag.String("metrics", "", "write the metrics registry snapshot to this file")
+		profile = flag.Bool("profile", false, "print the phase breakdown and profiler top table")
 	)
 	flag.Parse()
 
@@ -61,18 +59,11 @@ func main() {
 		}
 	}
 
-	eng, err := core.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sttrace:", err)
-		os.Exit(2)
-	}
 	cfg := core.Config{
-		Mode:      core.StackThreads,
-		Workers:   *workers,
-		Seed:      *seed,
-		Engine:    eng,
-		HostProcs: *hostprocs,
-		Events:    &sched.EventLog{},
+		Mode:    core.StackThreads,
+		Workers: *workers,
+		Seed:    *seed,
+		Events:  &sched.EventLog{},
 	}
 	if *mode == "cilk" {
 		cfg.Mode = core.Cilk

@@ -74,7 +74,7 @@ func TestParseClasses(t *testing.T) {
 	}
 }
 
-// TestVerifyCleanSeeds: a few adversarial programs across every engine,
+// TestVerifyCleanSeeds: a few adversarial programs,
 // auditor at cadence 1, canaries armed — the harness's basic positive
 // property (no hostile-but-well-formed program breaks the discipline).
 func TestVerifyCleanSeeds(t *testing.T) {
@@ -99,7 +99,7 @@ func TestCanaryAccounting(t *testing.T) {
 	p := FromSeed(11, AllClasses)
 	cm := machine.NewCanaryMap()
 	res, err := core.Run(Workload(p), core.Config{
-		Mode: core.StackThreads, Workers: 4, Engine: core.EngineSequential,
+		Mode: core.StackThreads, Workers: 4,
 		Seed: p.Seed, Audit: invariant.New(1), Canary: cm,
 	})
 	if err != nil {
@@ -125,7 +125,7 @@ func TestCanaryAccounting(t *testing.T) {
 func TestCanaryDisarmed(t *testing.T) {
 	p := FromSeed(2, AllClasses)
 	res, err := core.Run(Workload(p), core.Config{
-		Mode: core.StackThreads, Workers: 4, Engine: core.EngineSequential, Seed: p.Seed,
+		Mode: core.StackThreads, Workers: 4, Seed: p.Seed,
 	})
 	if err != nil {
 		t.Fatal(err)

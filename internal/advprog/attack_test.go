@@ -16,7 +16,7 @@ import (
 // These are the harness's negative controls at the program level: actual
 // attack programs — not state sabotage from a test hook — that clobber a
 // live canary or leak a private word, proving each security rule fires
-// with its own name on every engine.
+// with its own name.
 
 // clobberWorkload builds the caller-integrity attack: the parent stamps a
 // canary, hands its address to a forked child, and the child overwrites
@@ -90,42 +90,38 @@ func leakWorkload() *apps.Workload {
 		Entry: stlib.ProcBoot, HeapWords: 1 << 8}
 }
 
-func runAttack(t *testing.T, w *apps.Workload, engine core.Engine) error {
+func runAttack(t *testing.T, w *apps.Workload) error {
 	t.Helper()
 	_, err := core.Run(w, core.Config{
-		Mode: core.StackThreads, Workers: 2, Engine: engine, Seed: 1,
+		Mode: core.StackThreads, Workers: 2, Seed: 1,
 		Audit: invariant.New(1), Canary: machine.NewCanaryMap(),
 	})
 	return err
 }
 
-func wantRule(t *testing.T, err error, engine core.Engine, rule string) {
+func wantRule(t *testing.T, err error, rule string) {
 	t.Helper()
 	var v *invariant.Violation
 	if !errors.As(err, &v) {
-		t.Fatalf("engine=%v: attack not caught as a typed violation: %v", engine, err)
+		t.Fatalf("attack not caught as a typed violation: %v", err)
 	}
 	if v.Rule != rule {
-		t.Fatalf("engine=%v: rule %q, want %q: %v", engine, v.Rule, rule, v)
+		t.Fatalf("rule %q, want %q: %v", v.Rule, rule, v)
 	}
 	if v.Dump == "" {
-		t.Fatalf("engine=%v: violation carries no machine-state dump", engine)
+		t.Fatal("violation carries no machine-state dump")
 	}
 }
 
 // TestAttackClobberCanary: the cross-frame write must abort the run with
-// a caller-integrity violation on both engines.
+// a caller-integrity violation.
 func TestAttackClobberCanary(t *testing.T) {
-	for _, engine := range AllEngines() {
-		wantRule(t, runAttack(t, clobberWorkload(), engine), engine, "caller-integrity")
-	}
+	wantRule(t, runAttack(t, clobberWorkload()), "caller-integrity")
 }
 
 // TestAttackLeakPrivateCanary: the leaked private word sits below the
 // stack top once its frame retires — the final audit must flag
-// frame-confidentiality on both engines.
+// frame-confidentiality.
 func TestAttackLeakPrivateCanary(t *testing.T) {
-	for _, engine := range AllEngines() {
-		wantRule(t, runAttack(t, leakWorkload(), engine), engine, "frame-confidentiality")
-	}
+	wantRule(t, runAttack(t, leakWorkload()), "frame-confidentiality")
 }

@@ -641,6 +641,44 @@ func TestUnknownAppRejectedThroughNode(t *testing.T) {
 	}
 }
 
+// TestRemovedEngineRejectedThroughNode: a cluster node's edge decodes
+// submissions strictly, like a bare server, so a body naming the removed
+// engine selection fields (`engine`, any value, or `hostprocs`) gets a 400
+// naming the unknown field — from a client or as a peer's forward — and no
+// node admits it.
+func TestRemovedEngineRejectedThroughNode(t *testing.T) {
+	nodes := startCluster(t, 2, server.Config{QueueBound: 8, HostProcs: 1, CacheEntries: 8},
+		func(i int, c *Config) {})
+	a := nodes[0]
+	bodies := map[string]string{
+		`{"app":"fib","wait":true,"engine":"par"}`:        "engine",
+		`{"app":"fib","wait":true,"engine":"parallel"}`:   "engine",
+		`{"app":"fib","wait":true,"engine":"throughput"}`: "engine",
+		`{"app":"fib","wait":true,"engine":"sequential"}`: "engine",
+		`{"app":"fib","wait":true,"hostprocs":4}`:         "hostprocs",
+	}
+	for body, field := range bodies {
+		for _, hdr := range []map[string]string{nil, {HeaderForwarded: nodes[1].addr}} {
+			resp, out := postJSON(t, a.url()+"/jobs", json.RawMessage(body), hdr)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s headers %v: status = %d, body %s", body, hdr, resp.StatusCode, out)
+			}
+			var ev errView
+			if err := json.Unmarshal(out, &ev); err != nil {
+				t.Fatal(err)
+			}
+			if want := `unknown field "` + field + `"`; !strings.Contains(ev.Error, want) {
+				t.Fatalf("%s headers %v: error %q does not name %s", body, hdr, ev.Error, want)
+			}
+		}
+	}
+	for _, tn := range nodes {
+		if st := tn.srv.Stats(); st.Accepted != 0 {
+			t.Fatalf("node %s admitted a rejected request: accepted = %d", tn.addr, st.Accepted)
+		}
+	}
+}
+
 // TestFetchStealFullScaleGrant serves fetchSteal a grant built from a real
 // mid-run capture of an 8-worker full-scale fib job, exactly as a victim's
 // /cluster/steal would send it, and checks the thief decodes it intact.

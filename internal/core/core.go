@@ -16,8 +16,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"strconv"
 
 	"repro/internal/apps"
 	"repro/internal/fault"
@@ -56,94 +54,11 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// Engine selects the host execution strategy for the parallel modes. Every
-// engine produces byte-identical results (same Result, metrics, events) for
-// the same configuration and seed; the throughput engine just uses more
-// host cores to get there. See internal/sched/engine_throughput.go.
-type Engine int
-
-// Host execution strategies.
-const (
-	// EngineDefault defers to the ST_ENGINE environment variable (any valid
-	// engine name; unset or empty selects sequential, anything else is an
-	// error). CI uses it to force an engine across an unmodified test
-	// suite.
-	EngineDefault Engine = iota
-	// EngineSequential steps workers one at a time on the calling
-	// goroutine — the reference engine and differential oracle.
-	EngineSequential
-	// EngineThroughput speculates multi-quantum chains per virtual worker
-	// over per-host-core work-stealing deques — the highest host speedup.
-	EngineThroughput
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineSequential:
-		return "sequential"
-	case EngineThroughput:
-		return "throughput"
-	}
-	return "default"
-}
-
-// ParseEngine maps a command-line engine name to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "default":
-		return EngineDefault, nil
-	case "seq", "sequential":
-		return EngineSequential, nil
-	case "tp", "throughput":
-		return EngineThroughput, nil
-	}
-	return EngineDefault, fmt.Errorf("core: unknown engine %q (valid engines: sequential, throughput)", s)
-}
-
-// schedEngine resolves the configured engine to the scheduler's choice,
-// consulting the ST_ENGINE environment variable for EngineDefault. An
-// unknown ST_ENGINE value is an error naming the valid engines — a forced
-// engine that silently fell back to sequential would void whatever the
-// caller was trying to prove.
-func (e Engine) schedEngine() (sched.Engine, error) {
-	if e == EngineDefault {
-		env, err := ParseEngine(os.Getenv("ST_ENGINE"))
-		if err != nil {
-			return sched.EngineSequential, fmt.Errorf("ST_ENGINE: %w", err)
-		}
-		e = env
-	}
-	if e == EngineThroughput {
-		return sched.EngineThroughput, nil
-	}
-	return sched.EngineSequential, nil
-}
-
-// hostProcs resolves the host-parallelism cap, consulting ST_HOSTPROCS when
-// the config leaves it unset.
-func hostProcs(configured int) int {
-	if configured > 0 {
-		return configured
-	}
-	if v, err := strconv.Atoi(os.Getenv("ST_HOSTPROCS")); err == nil && v > 0 {
-		return v
-	}
-	return 0 // scheduler default: runtime.GOMAXPROCS(0)
-}
-
 // Config parameterizes a run. The zero value means: sequential, one worker,
 // SPARC cost model, default sizes.
 type Config struct {
 	Mode    Mode
 	Workers int
-	// Engine selects the host execution strategy for the parallel modes
-	// (default: sequential, unless ST_ENGINE names another engine; an
-	// unrecognized ST_ENGINE value fails the run). Results are identical
-	// whichever engine runs.
-	Engine Engine
-	// HostProcs caps the host goroutines the throughput engine uses
-	// (default: ST_HOSTPROCS, then runtime.GOMAXPROCS(0)).
-	HostProcs int
 	// CPU is the cost model (default isa.SPARC()).
 	CPU *isa.CostModel
 	// StackWords and HeapWords size the simulated memory (defaults:
@@ -161,7 +76,7 @@ type Config struct {
 	// worker cycle counters); exceeding it aborts with an error matching
 	// ErrCycleBudget. It is the serving layer's per-job limit and the
 	// strun/stbench -maxcycles flag. The check is deterministic: the same
-	// tuple aborts at the same point on every engine.
+	// tuple always aborts at the same point.
 	MaxWorkCycles int64
 	// Ctx, when non-nil, cancels the run cooperatively: the scheduler polls
 	// it at every pick (and the sequential baseline between slices) and
@@ -184,9 +99,9 @@ type Config struct {
 	Obs *obs.Collector
 	// Fault, when non-nil, injects deterministic faults from its plan (see
 	// internal/fault). Virtual faults are part of the run's input — the
-	// same (tuple, plan, seed) reproduces byte-identically on every
-	// engine; host-transparent and serving faults never change output
-	// bytes. Nil compiles to one pointer check per hook site.
+	// same (tuple, plan, seed) reproduces byte-identically; serving faults
+	// never change output bytes. Nil compiles to one pointer check per
+	// hook site.
 	Fault *fault.Injector
 	// Audit, when non-nil, runs the live Section 3.2 invariant auditor at
 	// scheduler pick boundaries (and between sequential slices); a
@@ -196,17 +111,16 @@ type Config struct {
 	// Canary, when non-nil, arms the adversarial stack-safety harness: the
 	// canary builtins register per-frame words here and the auditor's
 	// caller-integrity / frame-confidentiality rules check them (see
-	// machine.CanaryMap). Installing a map changes which builtins may be
-	// speculated, so it is part of the run's configuration tuple.
+	// machine.CanaryMap).
 	Canary *machine.CanaryMap
 	// Progress, when non-nil, receives a live host-visible view of the
 	// run's advancement (work cycles, picks), updated at scheduler pick
 	// boundaries (and between sequential slices). Read concurrently by
 	// serving-side introspection; never changes a run's bytes.
 	Progress *obs.Progress
-	// Contention, when non-nil, collects host-side engine contention
-	// counters (chain commits/reruns/discards, host steals). Host-timing-
-	// dependent: diagnostics only, never part of a deterministic artifact.
+	// Contention, when non-nil, collects host-side execution counters (the
+	// batched-tier residency). Diagnostics only, never part of a
+	// deterministic artifact.
 	Contention *sched.Contention
 	// Checkpoint, when non-nil, enables pick-boundary continuation capture
 	// (periodic checkpoints and cooperative yields) in the scheduled modes;
@@ -278,16 +192,9 @@ func Run(w *apps.Workload, cfg Config) (*Result, error) {
 // memory setup — everything shared between a fresh run and a resumption
 // (resumes must reconstruct the machine exactly as the capturing run did,
 // so the checkpointed image lands on an identical layout).
-func prepare(prog *isa.Program, w *apps.Workload, cfg *Config) (*machine.Machine, []int64, sched.Engine, error) {
+func prepare(prog *isa.Program, w *apps.Workload, cfg *Config) (*machine.Machine, []int64, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
-	}
-	// Resolve the engine up front, whatever the mode: a forced ST_ENGINE
-	// that silently fell back to sequential would void whatever the caller
-	// was trying to prove.
-	engine, err := cfg.Engine.schedEngine()
-	if err != nil {
-		return nil, nil, engine, fmt.Errorf("core: %w", err)
 	}
 	if cfg.CPU == nil {
 		cfg.CPU = isa.SPARC()
@@ -316,16 +223,16 @@ func prepare(prog *isa.Program, w *apps.Workload, cfg *Config) (*machine.Machine
 
 	args := w.Args
 	if w.Setup != nil {
-		args, err = w.Setup(m.Mem)
-		if err != nil {
-			return nil, nil, engine, fmt.Errorf("core: setup %s: %w", w.Name, err)
+		var err error
+		if args, err = w.Setup(m.Mem); err != nil {
+			return nil, nil, fmt.Errorf("core: setup %s: %w", w.Name, err)
 		}
 	}
-	return m, args, engine, nil
+	return m, args, nil
 }
 
 // schedConfig maps the core config onto the scheduler's.
-func (cfg *Config) schedConfig(engine sched.Engine) sched.Config {
+func (cfg *Config) schedConfig() sched.Config {
 	mode := sched.ModeST
 	if cfg.Mode == Cilk {
 		mode = sched.ModeCilk
@@ -345,8 +252,6 @@ func (cfg *Config) schedConfig(engine sched.Engine) sched.Config {
 		Obs:           cfg.Obs,
 		Fault:         cfg.Fault,
 		Audit:         cfg.Audit,
-		Engine:        engine,
-		HostProcs:     hostProcs(cfg.HostProcs),
 		Progress:      cfg.Progress,
 		Contention:    cfg.Contention,
 		Checkpoint:    cfg.Checkpoint,
@@ -380,7 +285,7 @@ func finishRun(m *machine.Machine, w *apps.Workload, cfg *Config, res *Result) (
 // when the caller wants custom postprocessing options, e.g. the overhead
 // ablations).
 func RunProgram(prog *isa.Program, w *apps.Workload, cfg Config) (*Result, error) {
-	m, args, engine, err := prepare(prog, w, &cfg)
+	m, args, err := prepare(prog, w, &cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -433,7 +338,7 @@ func RunProgram(prog *isa.Program, w *apps.Workload, cfg Config) (*Result, error
 		res.WorkCycles = wk.Cycles
 		res.Stats = []machine.Stats{wk.Stats}
 	case StackThreads, Cilk:
-		sres, err := sched.Run(m, w.Entry, args, cfg.schedConfig(engine))
+		sres, err := sched.Run(m, w.Entry, args, cfg.schedConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -460,8 +365,8 @@ func (res *Result) fromSched(sres *sched.Result) {
 // boundary (a sched.Boundary from a checkpoint sink or a *sched.YieldError).
 // cfg must carry the same canonical tuple as the capturing run — mode,
 // workers, cpu, seed, quantum, policy, budget, fault plan — because the
-// machine is reconstructed from it before the captured state is installed;
-// the engine choice is free. For byte-identical final artifacts the caller
+// machine is reconstructed from it before the captured state is installed.
+// For byte-identical final artifacts the caller
 // pre-seeds cfg.Obs (obs.Collector.ImportState), cfg.Events and cfg.Out
 // with the partial state captured alongside the boundary, and imports the
 // boundary's fault-injector state into cfg.Fault.
@@ -481,7 +386,7 @@ func Resume(w *apps.Workload, cfg Config, b *sched.Boundary) (*Result, error) {
 	// both recreate any addresses the workload's Verify closure captured and
 	// keep the construction identical. The captured image then overwrites
 	// memory wholesale.
-	m, _, engine, err := prepare(prog, w, &cfg)
+	m, _, err := prepare(prog, w, &cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +396,7 @@ func Resume(w *apps.Workload, cfg Config, b *sched.Boundary) (*Result, error) {
 	if err := cfg.Fault.ImportState(b.Fault); err != nil {
 		return nil, fmt.Errorf("core: resume: %w", err)
 	}
-	sres, err := sched.Resume(m, cfg.schedConfig(engine), b.Sched)
+	sres, err := sched.Resume(m, cfg.schedConfig(), b.Sched)
 	if err != nil {
 		return nil, err
 	}

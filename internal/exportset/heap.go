@@ -13,11 +13,7 @@
 // drive to check Lemmas 1-3 and Theorem 4.
 package exportset
 
-import (
-	"fmt"
-	"maps"
-	"slices"
-)
+import "fmt"
 
 // Entry describes one exported frame: FP is the frame base address and Low
 // the lowest word the frame occupies (FP - FrameSize). Stacks grow toward
@@ -121,16 +117,6 @@ func (s *Set) PopTop() Entry {
 
 // Contains reports whether a frame with base fp is exported.
 func (s *Set) Contains(fp int64) bool { return s.live[fp] }
-
-// Clone returns an independent copy of the set (used by the speculative
-// executor to snapshot a worker's segments).
-func (s *Set) Clone() Set {
-	c := Set{h: slices.Clone(s.h)}
-	if s.live != nil {
-		c.live = maps.Clone(s.live)
-	}
-	return c
-}
 
 // Entries returns the exported frames in unspecified order (for the
 // invariant checker and tests).

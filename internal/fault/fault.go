@@ -2,20 +2,15 @@
 // core.Config.Fault: a seed-driven source of adversarial scheduling and
 // serving perturbations, drawn from named, replayable plans.
 //
-// Faults come in three classes with different determinism contracts:
+// Faults come in two classes with different determinism contracts:
 //
 //   - Virtual faults (steal-request drops and delays, spurious
 //     suspend/restart pairs, worker stalls) perturb the simulated machine
 //     in virtual time. They are part of the run's input: a (tuple, plan,
-//     seed) triple produces byte-identical results on every engine, every
-//     time — the faulted run is just a different, equally deterministic
-//     schedule. The scheduler consults these sites only at coordinator
-//     pick boundaries, which both engines visit in the same order.
-//
-//   - Host-transparent faults (forced speculation aborts) perturb only the
-//     host execution strategy. The throughput engine already treats every
-//     speculated chain segment as disposable, so forcing aborts changes no
-//     output byte; the sequential engine never consults the site.
+//     seed) triple produces byte-identical results every time — the
+//     faulted run is just a different, equally deterministic schedule. The
+//     scheduler consults these sites only at pick boundaries, in pick
+//     order.
 //
 //   - Serving faults (executor panics, latency spikes) perturb the stserve
 //     host path and never touch a simulation. Decisions are a stateless
@@ -23,7 +18,7 @@
 //     replayed plan reproduces exactly.
 //
 // Each injection site draws from its own generator stream, so enabling one
-// fault class never shifts the decisions of another, and host-side sites
+// fault class never shifts the decisions of another, and serving sites
 // cannot desync the virtual ones.
 package fault
 
@@ -52,9 +47,6 @@ type Plan struct {
 	StallPct         int   // picked worker stalls (memory system hiccup)
 	StallCycles      int64 // stall length in cycles (default 2000)
 
-	// Host-transparent faults — perturb the throughput engine only.
-	SpecAbortPct int // speculation validation forced to fail
-
 	// Serving faults — stserve executor path only.
 	ExecPanicPct int   // executor panics mid-job
 	ExecDelayPct int   // executor sleeps before running the job
@@ -82,13 +74,12 @@ var presets = []Plan{
 	{Name: "steal-storm", StealDropPct: 30, StealDelayPct: 30, StealDelayCycles: 800},
 	{Name: "suspend-churn", SpuriousPollPct: 4},
 	{Name: "stalls", StallPct: 10, StallCycles: 3000},
-	{Name: "spec-chaos", SpecAbortPct: 60},
-	{Name: "mixed", StealDropPct: 15, StealDelayPct: 15, SpuriousPollPct: 2, StallPct: 5, SpecAbortPct: 25},
+	{Name: "mixed", StealDropPct: 15, StealDelayPct: 15, SpuriousPollPct: 2, StallPct: 5},
 	// adversarial leans on the sites that stress the frame discipline the
-	// hardest — forced suspensions, delayed steals and speculation churn —
-	// and is the default rotation of the stack-safety fuzz harness.
+	// hardest — forced suspensions and delayed steals — and is the default
+	// rotation of the stack-safety fuzz harness.
 	{Name: "adversarial", StealDropPct: 20, StealDelayPct: 25, StealDelayCycles: 600,
-		SpuriousPollPct: 3, StallPct: 8, SpecAbortPct: 40},
+		SpuriousPollPct: 3, StallPct: 8},
 	{Name: "serve-panic", ExecPanicPct: 35},
 	{Name: "serve-latency", ExecDelayPct: 50, ExecDelayMs: 250},
 	{Name: "serve-mixed", ExecPanicPct: 20, ExecDelayPct: 30, ExecDelayMs: 150},
@@ -105,12 +96,12 @@ func PlanNames() []string {
 }
 
 // SimPlanNames lists the presets that perturb simulations (at least one
-// virtual or host-transparent site) — the chaos differential matrix.
+// virtual site) — the chaos differential matrix.
 func SimPlanNames() []string {
 	var names []string
 	for _, p := range presets {
 		if p.StealDropPct > 0 || p.StealDelayPct > 0 || p.SpuriousPollPct > 0 ||
-			p.StallPct > 0 || p.SpecAbortPct > 0 {
+			p.StallPct > 0 {
 			names = append(names, p.Name)
 		}
 	}
@@ -158,13 +149,17 @@ func (p Plan) String() string {
 	return p.Name
 }
 
-// Injection sites. Every site owns an independent generator stream.
+// Injection sites. Every site owns an independent generator stream. The
+// numbering is part of the wire and decision contract: servingRoll hashes
+// site+1, and State carries numSites streams. siteSpecAbort is a retired
+// site whose slot stays reserved and is never rolled, so neither the
+// serving decisions nor exported states shift.
 const (
 	siteStealDrop = iota
 	siteStealDelay
 	siteSpuriousPoll
 	siteStall
-	siteSpecAbort
+	siteSpecAbort // reserved: never rolled
 	siteExecPanic
 	siteExecDelay
 	numSites
@@ -178,9 +173,8 @@ var siteNames = [numSites]string{
 // Injector draws injection decisions from a plan. A nil *Injector is the
 // disabled injector: every hook is a single nil check and injects nothing.
 //
-// The virtual and host-transparent sites are consulted only from the
-// scheduler coordinator (single-goroutine); the serving sites are
-// stateless and safe for concurrent executor slots.
+// The virtual sites are consulted only from the scheduler goroutine; the
+// serving sites are stateless and safe for concurrent executor slots.
 type Injector struct {
 	plan    Plan
 	streams [numSites]uint64
@@ -269,16 +263,6 @@ func (f *Injector) Stall() int64 {
 		return 0
 	}
 	return f.plan.StallCycles
-}
-
-// ForceSpecAbort reports whether the throughput engine must discard the
-// chain segment it is validating (host-transparent: a forced abort reruns
-// the quantum non-speculatively, changing no output byte).
-func (f *Injector) ForceSpecAbort() bool {
-	if f == nil {
-		return false
-	}
-	return f.roll(siteSpecAbort, f.plan.SpecAbortPct)
 }
 
 // servingRoll is the stateless serving-site decision: a hash of (seed,

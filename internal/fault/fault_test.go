@@ -13,7 +13,6 @@ func drawSequence(f *Injector, n int) []bool {
 		out = append(out, f.StealDelay() > 0)
 		out = append(out, f.SpuriousPoll())
 		out = append(out, f.Stall() > 0)
-		out = append(out, f.ForceSpecAbort())
 	}
 	return out
 }
@@ -65,7 +64,7 @@ func TestStreamIndependence(t *testing.T) {
 func TestNilInjectorInjectsNothing(t *testing.T) {
 	var f *Injector
 	if f.StealDrop() || f.StealDelay() != 0 || f.SpuriousPoll() || f.Stall() != 0 ||
-		f.ForceSpecAbort() || f.ExecPanic("k", 0) || f.ExecDelay("k", 0) != 0 {
+		f.ExecPanic("k", 0) || f.ExecDelay("k", 0) != 0 {
 		t.Fatal("nil injector injected a fault")
 	}
 	if f.Total() != 0 || f.Counts() != nil {
@@ -98,6 +97,81 @@ func TestServingDecisionsStatelessAndAttemptKeyed(t *testing.T) {
 	}
 	if d := f.ExecDelay("k", 0); d != 0 && d != 10*time.Millisecond {
 		t.Fatalf("ExecDelay = %v, want 0 or 10ms", d)
+	}
+}
+
+// TestDecisionsPinned pins injection decisions and exported stream states to
+// values recorded before the spec_abort site was retired. The site keeps its
+// slot: servingRoll hashes site+1 and State carries numSites streams, so
+// renumbering would change every serving decision and make checkpoints
+// taken before the change unreadable.
+func TestDecisionsPinned(t *testing.T) {
+	wantStreams := []uint64{0x702f3e2e932db29, 0x4432eaaddb75fe6e, 0x29a7eaf481ba46d9,
+		0x796937bec84642f, 0x3290c8341b4de9c1, 0x4b57f930424208eb, 0xcbbd05c7de73a889}
+	for _, tc := range []struct {
+		plan                     string
+		drop, delay, spur, stall uint64
+	}{
+		{"mixed", 0x1004801048800801, 0x4202408200601100, 0, 0x0000400000400000},
+		{"adversarial", 0x1004809458802801, 0x4282c08300601101, 0x0000000040000000, 0x8000412000400000},
+	} {
+		p, err := PlanByName(tc.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Seed = 42
+		f := New(&p)
+		var drop, delay, spur, stall uint64
+		for i := 0; i < 64; i++ {
+			if f.StealDrop() {
+				drop |= 1 << i
+			}
+			if f.StealDelay() != 0 {
+				delay |= 1 << i
+			}
+			if f.SpuriousPoll() {
+				spur |= 1 << i
+			}
+			if f.Stall() != 0 {
+				stall |= 1 << i
+			}
+		}
+		if drop != tc.drop || delay != tc.delay || spur != tc.spur || stall != tc.stall {
+			t.Errorf("%s:42 draws drop=%#x delay=%#x spur=%#x stall=%#x, want %#x %#x %#x %#x",
+				tc.plan, drop, delay, spur, stall, tc.drop, tc.delay, tc.spur, tc.stall)
+		}
+		got := f.ExportState().Streams
+		if len(got) != 7 || numSites != 7 {
+			t.Fatalf("%s: ExportState has %d streams (numSites %d), want 7", tc.plan, len(got), numSites)
+		}
+		for i := range got {
+			if got[i] != wantStreams[i] {
+				t.Errorf("%s: stream %d (%s) = %#x, want %#x", tc.plan, i, siteNames[i], got[i], wantStreams[i])
+			}
+		}
+	}
+
+	f := New(&Plan{Seed: 42, ExecPanicPct: 50, ExecDelayPct: 50})
+	for _, tc := range []struct {
+		key          string
+		panic, delay uint64
+	}{
+		{"a", 0x41cf40c77dbf7124, 0xe2119cf3967999c1},
+		{"app=fib|full=false", 0x6fb5a9c73288fb5f, 0xf1e546c4c47fe6df},
+		{"k3", 0x84bf45f42c0c377e, 0xba9044695cf0ee32},
+	} {
+		var pm, dm uint64
+		for a := 0; a < 64; a++ {
+			if f.ExecPanic(tc.key, a) {
+				pm |= 1 << a
+			}
+			if f.ExecDelay(tc.key, a) != 0 {
+				dm |= 1 << a
+			}
+		}
+		if pm != tc.panic || dm != tc.delay {
+			t.Errorf("key %q: panic=%#x delay=%#x, want %#x %#x", tc.key, pm, dm, tc.panic, tc.delay)
+		}
 	}
 }
 
@@ -135,7 +209,7 @@ func TestPlanLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.StealDropPct+p.StealDelayPct+p.SpuriousPollPct+p.StallPct+p.SpecAbortPct == 0 {
+		if p.StealDropPct+p.StealDelayPct+p.SpuriousPollPct+p.StallPct == 0 {
 			t.Fatalf("sim plan %s has no simulation sites", name)
 		}
 	}

@@ -21,15 +21,13 @@ import (
 )
 
 // Opts tunes how a figure's data points execute on the host. The zero value
-// reproduces the historical behavior: every point on one core, sequential
-// engine. Data points are independent deterministic simulations, so neither
-// knob changes any number or byte of output — only wall-clock time.
+// runs every point on one core. Data points are independent deterministic
+// simulations, so HostProcs changes no number or byte of output — only
+// wall-clock time.
 type Opts struct {
 	// HostProcs caps the host goroutines that fan independent data points
 	// (benchmark rows, worker counts, SPEC profiles); <= 1 runs inline.
 	HostProcs int
-	// Engine selects the host execution engine for each individual run.
-	Engine core.Engine
 	// MaxWorkCycles, when positive, bounds each individual run's total work
 	// (see core.Config.MaxWorkCycles); a budget abort fails the figure.
 	MaxWorkCycles int64
@@ -221,7 +219,7 @@ func UniprocessorWith(w io.Writer, sc Scale, opts Opts) ([]UniRow, error) {
 		if err != nil {
 			return err
 		}
-		seqRes, err := core.Run(seqW, core.Config{Mode: core.Sequential, Engine: opts.Engine, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit()})
+		seqRes, err := core.Run(seqW, core.Config{Mode: core.Sequential, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit()})
 		if err != nil {
 			return fmt.Errorf("%s/seq: %w", name, err)
 		}
@@ -229,7 +227,7 @@ func UniprocessorWith(w io.Writer, sc Scale, opts Opts) ([]UniRow, error) {
 		if err != nil {
 			return err
 		}
-		stRes, err := core.Run(stW, core.Config{Mode: core.StackThreads, Workers: 1, Engine: opts.Engine, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit()})
+		stRes, err := core.Run(stW, core.Config{Mode: core.StackThreads, Workers: 1, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit()})
 		if err != nil {
 			return fmt.Errorf("%s/st: %w", name, err)
 		}
@@ -237,7 +235,7 @@ func UniprocessorWith(w io.Writer, sc Scale, opts Opts) ([]UniRow, error) {
 		if err != nil {
 			return err
 		}
-		ckRes, err := core.Run(ckW, core.Config{Mode: core.Cilk, Workers: 1, Engine: opts.Engine, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit()})
+		ckRes, err := core.Run(ckW, core.Config{Mode: core.Cilk, Workers: 1, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit()})
 		if err != nil {
 			return fmt.Errorf("%s/cilk: %w", name, err)
 		}
@@ -302,7 +300,7 @@ func ScalingWith(w io.Writer, sc Scale, benches []string, opts Opts) ([]ScaleRow
 		if err != nil {
 			return err
 		}
-		stRes, err := core.Run(stW, core.Config{Mode: core.StackThreads, Workers: n, Seed: 1, Engine: opts.Engine, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit()})
+		stRes, err := core.Run(stW, core.Config{Mode: core.StackThreads, Workers: n, Seed: 1, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit()})
 		if err != nil {
 			return fmt.Errorf("%s/st/p=%d: %w", name, n, err)
 		}
@@ -310,7 +308,7 @@ func ScalingWith(w io.Writer, sc Scale, benches []string, opts Opts) ([]ScaleRow
 		if err != nil {
 			return err
 		}
-		ckRes, err := core.Run(ckW, core.Config{Mode: core.Cilk, Workers: n, Seed: 1, Engine: opts.Engine, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit()})
+		ckRes, err := core.Run(ckW, core.Config{Mode: core.Cilk, Workers: n, Seed: 1, MaxWorkCycles: opts.MaxWorkCycles, Audit: opts.audit()})
 		if err != nil {
 			return fmt.Errorf("%s/cilk/p=%d: %w", name, n, err)
 		}

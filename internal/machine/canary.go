@@ -20,10 +20,9 @@ import (
 //     exposed below SP where a foreign frame could be built over it, and
 //     never migrates out of the owner's stacks.
 //
-// The map mutates only inside the two builtins, which are spec-forbidden
-// whenever a map is installed: on the parallel and throughput engines every
-// mutation therefore replays in exact sequential pick order, so the map's
-// contents — and any faults it records — are byte-identical across engines.
+// The map mutates only inside the two builtins, which run in the
+// scheduler's deterministic pick order, so the map's contents — and any
+// faults it records — are byte-identical across replays.
 type CanaryMap struct {
 	entries map[int64]*CanaryEntry
 	faults  []CanaryFault

@@ -133,12 +133,12 @@ func (w *Worker) checkInvariants(where string) {
 					w.fail(w.PC, "invariant check (%s): unexported live frame %d in a non-current segment", where, fp)
 				}
 			}
-			ret := w.memLoad(fp - 1)
+			ret := w.M.Mem.Load(fp - 1)
 			if ret == MagicHalt || ret == MagicSched {
 				break
 			}
 			if ret < 0 {
-				t, ok := w.peekThunk(ret)
+				t, ok := w.M.thunks[ret]
 				if !ok {
 					w.fail(w.PC, "invariant check (%s): frame %d links to unknown magic pc %d", where, fp, ret)
 				}
@@ -146,7 +146,7 @@ func (w *Worker) checkInvariants(where string) {
 			} else {
 				d = w.M.descFor(ret)
 			}
-			fp = w.memLoad(fp - 2)
+			fp = w.M.Mem.Load(fp - 2)
 		}
 	}
 
@@ -179,7 +179,7 @@ func (w *Worker) checkInvariants(where string) {
 	}
 
 	// The max-E cell must mirror the current segment's exported set.
-	cell := w.memLoad(w.WL.Lo + postproc.WLSlotMaxE)
+	cell := w.M.Mem.Load(w.WL.Lo + postproc.WLSlotMaxE)
 	if want := curSeg.Exported.TopFP(w.maxESentinel()); cell != want {
 		w.fail(w.PC, "invariant check (%s): max-E cell %d, want %d", where, cell, want)
 	}

@@ -69,15 +69,15 @@ func (v *Worker) StealOldestCilk() *Context {
 		}
 		frames = append(frames, frameInfo{fp, d})
 		for k, r := range d.SavedRegs {
-			scratch[r-isa.R0] = v.memLoad(fp - int64(3+k))
+			scratch[r-isa.R0] = v.M.Mem.Load(fp - int64(3+k))
 		}
-		ret := v.memLoad(fp - 1)
-		parent := v.memLoad(fp - 2)
+		ret := v.M.Mem.Load(fp - 1)
+		parent := v.M.Mem.Load(fp - 2)
 		if ret == MagicHalt || ret == MagicSched {
 			break
 		}
 		if ret < 0 {
-			t, ok := v.peekThunk(ret)
+			t, ok := v.M.thunks[ret]
 			if !ok {
 				v.fail(ret, "cilk steal walk hit unknown magic pc")
 			}
@@ -117,8 +117,8 @@ func (v *Worker) StealOldestCilk() *Context {
 	if bThunkPC != 0 {
 		delete(v.M.thunks, bThunkPC)
 	}
-	v.memStore(bChild-1, MagicSched)
-	v.memStore(bChild-2, 0)
+	v.M.Mem.Store(bChild-1, MagicSched)
+	v.M.Mem.Store(bChild-2, 0)
 	for _, f := range frames[bIndex:] {
 		if v.Local(f.fp) {
 			v.exportFrame(f.fp, f.d)

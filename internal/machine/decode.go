@@ -10,11 +10,9 @@ import "repro/internal/isa"
 // length and exact cycle cost of the maximal run of straightline
 // instructions starting there.
 //
-// The cache is immutable after New — the program, the cost model and every
+// The cache is immutable after New: the program, the cost model and every
 // option that feeds it (RegWindows, OmitFP, CilkCost) are fixed at
-// construction — which makes it trivially speculation-safe: speculative
-// quanta (spec.go) read it exactly like non-speculative execution, and
-// capture/restore/abort never touch it.
+// construction.
 
 // decoded is one pre-resolved instruction of the decode cache. The struct is
 // deliberately packed into 48 bytes so the cache stays dense in L1/L2; the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
 	"testing"
 	"unsafe"
 
@@ -17,8 +16,8 @@ import (
 
 // White-box tests for the interpreter's batched fast path (decode.go,
 // interp.go): the batch must be observationally identical to per-instruction
-// execution — same cycle counts at every budget boundary, same trap state,
-// and full coherence with the speculation substrate's capture/restore/abort.
+// execution — same cycle counts at every budget boundary and the same trap
+// state.
 
 func compileUnit(t *testing.T, build func(u *asm.Unit)) *isa.Program {
 	t.Helper()
@@ -272,115 +271,6 @@ func TestFastPathTrapStateExact(t *testing.T) {
 				t.Fatalf("errors diverged:\n  fast: %v\n  slow: %v", wf.Err, ws.Err)
 			}
 		})
-	}
-}
-
-// TestSpeculationFastPathCoherence drives the decode cache through the
-// speculation substrate: a chain segment (which batches through
-// runBlockView against the chain's page view) must leave the exact launch
-// state behind once the chain finishes, its commit must land the worker and
-// shared memory in the same state as a direct batched run of the same
-// budget, and a forbidden-operation abort must kill the chain and leave no
-// trace.
-func TestSpeculationFastPathCoherence(t *testing.T) {
-	prog := compileUnit(t, func(u *asm.Unit) {
-		b := u.Proc("main", 0, 2)
-		b.Const(isa.R0, mem.Guard)
-		b.Const(isa.R1, 0)
-		b.Const(isa.R2, 400)
-		loop := b.NewLabel()
-		b.Bind(loop)
-		b.Load(isa.T0, isa.R0, 0)
-		b.Add(isa.T0, isa.T0, isa.R1)
-		b.MulI(isa.T1, isa.T0, 5)
-		b.Xor(isa.T0, isa.T0, isa.T1)
-		b.Store(isa.R0, 0, isa.T0)
-		b.AddI(isa.R1, isa.R1, 1)
-		b.Blt(isa.R1, isa.R2, loop)
-		b.Call("rand") // order-dependent: aborts any speculative quantum
-		b.Load(isa.RV, isa.R0, 0)
-		b.Ret(isa.RV)
-	})
-
-	mDirect, wDirect := startWorker(t, prog, Options{})
-	mSpec, wSpec := startWorker(t, prog, Options{})
-	var directPages []int64
-	mDirect.SetStoreHook(func(a int64) {
-		if p := a >> mem.PageShift; len(directPages) == 0 || directPages[len(directPages)-1] != p {
-			directPages = append(directPages, p)
-		}
-	})
-	shared := mSpec.Mem.ExportState()
-
-	// 1. A successful segment leaves the launch state behind once the chain
-	// finishes, and none of its stores reach shared memory.
-	pre := wSpec.capture()
-	c := wSpec.BeginChain()
-	seg := c.RunSegment(300)
-	if seg == nil {
-		t.Fatal("RunSegment(300) aborted; the quantum contains no forbidden op")
-	}
-	if seg.Ev != EvBudget {
-		t.Fatalf("quantum event %v, want EvBudget", seg.Ev)
-	}
-	if wSpec.BatchedCycles() == 0 {
-		t.Fatal("the segment never entered the batched tier")
-	}
-	c.Finish()
-	if wSpec.PC != pre.pc || wSpec.Cycles != pre.cycles || wSpec.Regs != pre.regs || wSpec.Stats != pre.stats {
-		t.Fatalf("Finish did not restore the launch state: pc=%d/%d cycles=%d/%d",
-			wSpec.PC, pre.pc, wSpec.Cycles, pre.cycles)
-	}
-	if !reflect.DeepEqual(mSpec.Mem.ExportState(), shared) {
-		t.Fatalf("speculative stores leaked to shared memory: cell = %d", mSpec.Mem.Load(mem.Guard))
-	}
-	if len(seg.st.wlog) == 0 {
-		t.Fatal("the segment logged no stores")
-	}
-
-	// 2. Committing the segment matches a direct (batched) run of the same
-	// budget, including the flushed write log: shared memory must be equal
-	// word for word, and the flush must report exactly the pages the direct
-	// run stored to.
-	var flushed []int64
-	c.CommitSeg(seg, func(p int64) { flushed = append(flushed, p) })
-	if ev := wDirect.Run(300); ev != EvBudget {
-		t.Fatalf("direct run event %v, want EvBudget", ev)
-	}
-	diffWorker(t, "after commit", wSpec, wDirect)
-	if !reflect.DeepEqual(mSpec.Mem.ExportState(), mDirect.Mem.ExportState()) {
-		t.Fatalf("shared memory diverged after commit: spec cell=%d direct cell=%d",
-			mSpec.Mem.Load(mem.Guard), mDirect.Mem.Load(mem.Guard))
-	}
-	if !slices.Equal(flushed, directPages) {
-		t.Fatalf("flushed pages %v, direct run stored to pages %v", flushed, directPages)
-	}
-	mDirect.SetStoreHook(nil)
-
-	// 3. A segment that reaches the forbidden builtin aborts, kills the
-	// chain, and leaves the committed state untouched.
-	committed := mSpec.Mem.ExportState()
-	c = wSpec.BeginChain()
-	if seg := c.RunSegment(math.MaxInt64); seg != nil {
-		t.Fatalf("RunSegment over the rand call returned %+v, want abort", seg)
-	}
-	if seg := c.RunSegment(300); seg != nil {
-		t.Fatal("a dead chain produced another segment")
-	}
-	c.Finish()
-	diffWorker(t, "after abort", wSpec, wDirect)
-	if !reflect.DeepEqual(mSpec.Mem.ExportState(), committed) {
-		t.Fatal("an aborted segment changed shared memory")
-	}
-
-	// 4. Both machines finish identically.
-	evS, evD := wSpec.Run(math.MaxInt64), wDirect.Run(math.MaxInt64)
-	if evS != EvHalt || evD != EvHalt {
-		t.Fatalf("final events: spec=%v direct=%v (errs %v / %v)", evS, evD, wSpec.Err, wDirect.Err)
-	}
-	diffWorker(t, "at halt", wSpec, wDirect)
-	if wSpec.Regs[isa.RV] != wDirect.Regs[isa.RV] {
-		t.Fatalf("return values diverged: %d vs %d", wSpec.Regs[isa.RV], wDirect.Regs[isa.RV])
 	}
 }
 

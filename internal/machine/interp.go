@@ -65,12 +65,9 @@ func (w *Worker) Run(budget int64) (ev Event) {
 	// channel: no tracing. Observability is compatible because its only
 	// per-instruction work inside a straight-line run is bulk-chargeable
 	// (the run's epilogue-check cost, runCheckCost) and its sampler is
-	// honored as a second deadline (ob.NextSample below). Plain execution
-	// batches through runBlock (direct memory, inline store-hook calls); a
-	// chained speculation batches through runBlockView (page-view memory
-	// with a write log). Everything the batch skips is observationally
-	// redundant, so turning it off (NoFastPath) changes nothing but host
-	// speed.
+	// honored as a second deadline (ob.NextSample below). Everything the
+	// batch skips is observationally redundant, so turning it off
+	// (NoFastPath) changes nothing but host speed.
 	fast := !w.M.Opts.NoFastPath && w.M.Opts.Trace == nil
 	ob := w.Obs
 
@@ -96,11 +93,7 @@ func (w *Worker) Run(budget int64) (ev Event) {
 		d := &dec[pc]
 		if fast && d.runLen > 1 && w.Cycles < deadline-int64(d.runCostButLast) &&
 			(ob == nil || w.Cycles+int64(d.runCost) < ob.NextSample) {
-			if sp := w.spec; sp != nil {
-				w.runBlockView(pc, d, sp)
-			} else {
-				w.runBlock(pc, d)
-			}
+			w.runBlock(pc, d)
 			continue
 		}
 
@@ -152,15 +145,15 @@ func (w *Worker) Run(budget int64) (ev Event) {
 		case isa.MulI:
 			w.Regs[d.rd] = w.Regs[d.ra] * d.imm
 		case isa.Load:
-			w.Regs[d.rd] = w.memLoad(w.Regs[d.ra] + d.imm)
+			w.Regs[d.rd] = w.M.Mem.Load(w.Regs[d.ra] + d.imm)
 		case isa.Store:
-			w.memStore(w.Regs[d.ra]+d.imm, w.Regs[d.rb])
+			w.M.Mem.Store(w.Regs[d.ra]+d.imm, w.Regs[d.rb])
 		case isa.Tas:
 			// Atomic under the discrete-event scheduler: instructions are
 			// indivisible across workers.
 			a := w.Regs[d.ra] + d.imm
-			w.Regs[d.rd] = w.memLoad(a)
-			w.memStore(a, 1)
+			w.Regs[d.rd] = w.M.Mem.Load(a)
+			w.M.Mem.Store(a, 1)
 		case isa.Jmp:
 			next = d.imm
 		case isa.JmpReg:
@@ -266,7 +259,7 @@ func (w *Worker) magicPC(pc int64) (Event, bool) {
 	case MagicSched:
 		return EvBottom, true
 	}
-	t, ok := w.takeThunk(pc)
+	t, ok := w.M.takeThunk(pc)
 	if !ok {
 		w.fail(pc, "jump to unknown magic pc")
 	}
@@ -286,19 +279,18 @@ func (w *Worker) magicPC(pc int64) (Event, bool) {
 // starting at pc `start` as one batch: registers and memory update in place,
 // but PC, cycles and the instruction count are written once at the end. The
 // caller has already verified the entire run fits under the budget deadline
-// (and before the next profiler sample) and that the execution environment
-// is plain (no tracing or speculation), and straightline instructions cannot
-// branch or reach the runtime, so no per-instruction checks are needed and
-// memory is accessed directly through the page table with an inline guard
-// check (stores still report to the machine's store hook, exactly as
-// memStore would). The table is fetched once per batch: nothing inside a
+// (and before the next profiler sample) and that tracing is off, and
+// straightline instructions cannot branch or reach the runtime, so no
+// per-instruction checks are needed and memory is accessed directly through
+// the page table with an inline guard check. The table is fetched once per
+// batch: nothing inside a
 // batch maps memory, and a store into a page that has never been written
 // materializes it in this same table through Memory.Store. The only panics
 // a block can raise are its own simulated faults, each preceded by
 // blockSync, which synchronizes PC/cycles/instruction count to the exact
 // state the per-instruction path would hold at the trap (the faulting
 // instruction charged and counted, w.PC naming it) — required both for
-// Run's trap formatting and for the engines' trap-state determinism.
+// Run's trap formatting and for trap-state determinism.
 func (w *Worker) runBlock(start int64, d0 *decoded) {
 	dec := w.M.dec
 	memory := w.M.Mem
@@ -361,9 +353,6 @@ func (w *Worker) runBlock(start int64, d0 *decoded) {
 			if a < mem.Guard || a >= size {
 				w.blockTrap(start, pc, d0, "store", a)
 			}
-			if h := w.M.storeHook; h != nil {
-				h(a)
-			}
 			if pg := pages[a>>mem.PageShift]; pg != nil {
 				pg[a&mem.PageMask] = regs[d.rb]
 			} else {
@@ -374,9 +363,6 @@ func (w *Worker) runBlock(start int64, d0 *decoded) {
 			if a < mem.Guard || a >= size {
 				w.blockTrap(start, pc, d0, "load", a)
 			}
-			if h := w.M.storeHook; h != nil {
-				h(a)
-			}
 			if pg := pages[a>>mem.PageShift]; pg != nil {
 				regs[d.rd] = pg[a&mem.PageMask]
 				pg[a&mem.PageMask] = 1
@@ -384,125 +370,6 @@ func (w *Worker) runBlock(start int64, d0 *decoded) {
 				regs[d.rd] = 0
 				memory.Store(a, 1)
 			}
-		case isa.FAdd:
-			regs[d.rd] = f2b(b2f(regs[d.ra]) + b2f(regs[d.rb]))
-		case isa.FSub:
-			regs[d.rd] = f2b(b2f(regs[d.ra]) - b2f(regs[d.rb]))
-		case isa.FMul:
-			regs[d.rd] = f2b(b2f(regs[d.ra]) * b2f(regs[d.rb]))
-		case isa.FDiv:
-			regs[d.rd] = f2b(b2f(regs[d.ra]) / b2f(regs[d.rb]))
-		case isa.FNeg:
-			regs[d.rd] = f2b(-b2f(regs[d.ra]))
-		case isa.FCmp:
-			a, b := b2f(regs[d.ra]), b2f(regs[d.rb])
-			switch {
-			case a < b:
-				regs[d.rd] = -1
-			case a > b:
-				regs[d.rd] = 1
-			default:
-				regs[d.rd] = 0
-			}
-		case isa.ItoF:
-			regs[d.rd] = f2b(float64(regs[d.ra]))
-		case isa.FtoI:
-			regs[d.rd] = int64(b2f(regs[d.ra]))
-		default:
-			// Unreachable: only Straightline ops are batched.
-			w.blockSync(start, pc, d0)
-			w.fail(pc, "illegal opcode %v", d.op)
-		}
-	}
-	w.blockDone(d0, end)
-}
-
-// runBlockView is runBlock for a chained speculation (specview.go): memory
-// accesses go through the chain's page-granular private view — pages
-// privatize on first touch, then load and store at array speed — and every
-// store is appended to the segment's write log. Bounds are checked against
-// the view's frozen size so traps replicate the oracle's exactly; trap
-// panics unwind to Run's recover just as on the per-instruction path.
-func (w *Worker) runBlockView(start int64, d0 *decoded, sp *specState) {
-	dec := w.M.dec
-	v := sp.view
-	size := v.size
-	end := start + int64(d0.runLen)
-	regs := &w.Regs
-	for pc := start; pc < end; pc++ {
-		d := &dec[pc]
-		switch d.op {
-		case isa.Nop:
-		case isa.Const:
-			regs[d.rd] = d.imm
-		case isa.Mov:
-			regs[d.rd] = regs[d.ra]
-		case isa.Add:
-			regs[d.rd] = regs[d.ra] + regs[d.rb]
-		case isa.Sub:
-			regs[d.rd] = regs[d.ra] - regs[d.rb]
-		case isa.Mul:
-			regs[d.rd] = regs[d.ra] * regs[d.rb]
-		case isa.Div:
-			if regs[d.rb] == 0 {
-				w.blockSync(start, pc, d0)
-				w.fail(pc, "division by zero")
-			}
-			regs[d.rd] = regs[d.ra] / regs[d.rb]
-		case isa.Mod:
-			if regs[d.rb] == 0 {
-				w.blockSync(start, pc, d0)
-				w.fail(pc, "modulo by zero")
-			}
-			regs[d.rd] = regs[d.ra] % regs[d.rb]
-		case isa.And:
-			regs[d.rd] = regs[d.ra] & regs[d.rb]
-		case isa.Or:
-			regs[d.rd] = regs[d.ra] | regs[d.rb]
-		case isa.Xor:
-			regs[d.rd] = regs[d.ra] ^ regs[d.rb]
-		case isa.Shl:
-			regs[d.rd] = regs[d.ra] << uint64(regs[d.rb]&63)
-		case isa.Shr:
-			regs[d.rd] = regs[d.ra] >> uint64(regs[d.rb]&63)
-		case isa.AddI:
-			regs[d.rd] = regs[d.ra] + d.imm
-		case isa.MulI:
-			regs[d.rd] = regs[d.ra] * d.imm
-		case isa.Load:
-			a := regs[d.ra] + d.imm
-			if a < mem.Guard || a >= size {
-				w.blockTrap(start, pc, d0, "load", a)
-			}
-			pg := v.pages[a>>mem.PageShift]
-			if pg == nil {
-				pg = v.privatize(a >> mem.PageShift)
-			}
-			regs[d.rd] = pg[a&mem.PageMask]
-		case isa.Store:
-			a := regs[d.ra] + d.imm
-			if a < mem.Guard || a >= size {
-				w.blockTrap(start, pc, d0, "store", a)
-			}
-			pg := v.pages[a>>mem.PageShift]
-			if pg == nil {
-				pg = v.privatize(a >> mem.PageShift)
-			}
-			val := regs[d.rb]
-			pg[a&mem.PageMask] = val
-			sp.wlog = append(sp.wlog, memWrite{a, val})
-		case isa.Tas:
-			a := regs[d.ra] + d.imm
-			if a < mem.Guard || a >= size {
-				w.blockTrap(start, pc, d0, "load", a)
-			}
-			pg := v.pages[a>>mem.PageShift]
-			if pg == nil {
-				pg = v.privatize(a >> mem.PageShift)
-			}
-			regs[d.rd] = pg[a&mem.PageMask]
-			pg[a&mem.PageMask] = 1
-			sp.wlog = append(sp.wlog, memWrite{a, 1})
 		case isa.FAdd:
 			regs[d.rd] = f2b(b2f(regs[d.ra]) + b2f(regs[d.rb]))
 		case isa.FSub:
@@ -549,9 +416,7 @@ func (w *Worker) blockDone(d0 *decoded, end int64) {
 }
 
 // BatchedCycles reports the virtual cycles the worker executed on the
-// batched straight-line tier — a host-side tier-residency diagnostic that
-// includes speculated work, so it may exceed the committed cycles under
-// the speculative engines.
+// batched straight-line tier — a host-side tier-residency diagnostic.
 func (w *Worker) BatchedCycles() int64 { return w.batched }
 
 // blockSync synchronizes the worker's architectural state to the exact
@@ -575,8 +440,8 @@ func (w *Worker) blockSync(start, pc int64, d0 *decoded) {
 	}
 }
 
-// blockTrap raises the memory trap the per-instruction path's memLoad or
-// memStore would raise at pc, with identical worker state.
+// blockTrap raises the memory trap the per-instruction path's Load or
+// Store would raise at pc, with identical worker state.
 func (w *Worker) blockTrap(start, pc int64, d0 *decoded, kind string, a int64) {
 	w.blockSync(start, pc, d0)
 	panic(&mem.Trap{Kind: kind, Addr: a})

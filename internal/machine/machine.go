@@ -162,10 +162,6 @@ type Machine struct {
 	thunks    map[int64]*thunk
 	nextThunk int64
 	rng       uint64
-
-	// storeHook, when non-nil, observes the address of every
-	// non-speculative shared-memory store (see SetStoreHook in spec.go).
-	storeHook func(a int64)
 }
 
 // thunk is the side record behind a patched return address: when control
@@ -373,14 +369,10 @@ type Worker struct {
 	// obsStack is the reusable buffer for profiler stack walks.
 	obsStack []int64
 
-	// spec, when non-nil, redirects this worker's shared-state accesses
-	// into a speculative quantum's private view (see spec.go).
-	spec *specState
-
 	// batched counts the virtual cycles this worker executed on the
-	// batched tier (runBlock/runBlockView), speculated segments included.
-	// Host-side tier-residency diagnostic only: never captured,
-	// snapshotted or restored, and never part of a deterministic artifact.
+	// batched tier (runBlock). Host-side tier-residency diagnostic only:
+	// never exported or imported, and never part of a deterministic
+	// artifact.
 	batched int64
 }
 
@@ -435,7 +427,7 @@ func (w *Worker) maxESentinel() int64 { return w.Stack().Hi }
 // updateMaxECell publishes the current segment's topmost exported frame to
 // the worker-local cell read by augmented epilogues.
 func (w *Worker) updateMaxECell() {
-	w.memStore(w.WL.Lo+postproc.WLSlotMaxE, w.seg().Exported.TopFP(w.maxESentinel()))
+	w.M.Mem.Store(w.WL.Lo+postproc.WLSlotMaxE, w.seg().Exported.TopFP(w.maxESentinel()))
 }
 
 // Local reports whether address a lies in any of this worker's stack
@@ -479,7 +471,7 @@ func (w *Worker) sweepSegments() {
 			continue
 		}
 		changed := false
-		for !s.Exported.Empty() && w.memLoad(s.Exported.Top().FP-1) == 0 {
+		for !s.Exported.Empty() && w.M.Mem.Load(s.Exported.Top().FP-1) == 0 {
 			s.Exported.PopTop()
 			w.Stats.Shrinks++
 			changed = true
@@ -571,7 +563,7 @@ func (d *Deque) PopTail() *Context {
 func (d *Deque) At(i int) *Context { return d.items[d.head+i] }
 
 // snapshot returns the queued contexts head-to-tail in a fresh slice
-// (speculation capture).
+// (state export).
 func (d *Deque) snapshot() []*Context {
 	s := make([]*Context, d.Len())
 	copy(s, d.items[d.head:])
@@ -579,7 +571,7 @@ func (d *Deque) snapshot() []*Context {
 }
 
 // restoreFrom resets the deque to hold exactly cs, head-to-tail, consuming
-// the slice (speculation restore).
+// the slice (state import).
 func (d *Deque) restoreFrom(cs []*Context) {
 	d.items = cs
 	d.head = 0

@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"slices"
-
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -60,12 +58,12 @@ func (w *Worker) obsSample(pc int64) {
 			if fp-2 < mem.Guard || fp >= size {
 				break
 			}
-			ret := w.memLoad(fp - 1)
+			ret := w.M.Mem.Load(fp - 1)
 			if ret == MagicHalt || ret == MagicSched || ret == 0 {
 				break
 			}
 			if ret < 0 {
-				t, ok := w.peekThunk(ret)
+				t, ok := w.M.thunks[ret]
 				if !ok {
 					break
 				}
@@ -73,17 +71,10 @@ func (w *Worker) obsSample(pc int64) {
 			} else {
 				pcs = append(pcs, ret-1) // the parent's call instruction
 			}
-			fp = w.memLoad(fp - 2)
+			fp = w.M.Mem.Load(fp - 2)
 		}
 	}
 	w.obsStack = pcs
-	if s := w.spec; s != nil {
-		// The profiler's flat/cum maps are shared with the collector's
-		// snapshot; buffer the observation (pcs is reused across samples,
-		// so copy it) and replay it at commit.
-		s.samples = append(s.samples, specSample{weight: periods, pcs: slices.Clone(pcs)})
-		return
-	}
 	o.AddSample(periods, pcs)
 }
 

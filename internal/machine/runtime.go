@@ -13,23 +13,23 @@ import (
 // paper's struct context, allocated by the program — typically on its own
 // stack, as in Figure 8).
 func (w *Worker) writeContext(addr int64, c *Context) {
-	w.memStore(addr+0, c.ResumePC)
-	w.memStore(addr+1, c.Top)
-	w.memStore(addr+2, c.Bottom)
+	w.M.Mem.Store(addr+0, c.ResumePC)
+	w.M.Mem.Store(addr+1, c.Top)
+	w.M.Mem.Store(addr+2, c.Bottom)
 	for i, v := range c.Regs {
-		w.memStore(addr+3+int64(i), v)
+		w.M.Mem.Store(addr+3+int64(i), v)
 	}
 }
 
 // readContext unmarshals a Context from simulated memory.
 func (w *Worker) readContext(addr int64) *Context {
 	c := &Context{
-		ResumePC: w.memLoad(addr + 0),
-		Top:      w.memLoad(addr + 1),
-		Bottom:   w.memLoad(addr + 2),
+		ResumePC: w.M.Mem.Load(addr + 0),
+		Top:      w.M.Mem.Load(addr + 1),
+		Bottom:   w.M.Mem.Load(addr + 2),
 	}
 	for i := range c.Regs {
-		c.Regs[i] = w.memLoad(addr + 3 + int64(i))
+		c.Regs[i] = w.M.Mem.Load(addr + 3 + int64(i))
 	}
 	if c.Top == 0 || c.Bottom == 0 {
 		w.fail(w.PC, "malformed context at %d", addr)
@@ -50,7 +50,7 @@ func (w *Worker) runPureEpilogue(d *isa.Desc) int64 {
 		w.Cycles += int64(in.cost)
 		switch in.op {
 		case isa.Load:
-			w.Regs[in.rd] = w.memLoad(w.Regs[in.ra] + in.imm)
+			w.Regs[in.rd] = w.M.Mem.Load(w.Regs[in.ra] + in.imm)
 		case isa.JmpReg:
 			return w.Regs[in.ra]
 		default:
@@ -72,11 +72,7 @@ func (w *Worker) exportFrame(fp int64, d *isa.Desc) {
 		s.Exported.Push(exportset.Entry{FP: fp, Low: fp - d.FrameSize})
 		w.Stats.Exports++
 		if c := w.M.Opts.Obs; c != nil {
-			if sp := w.spec; sp != nil {
-				sp.expObs = append(sp.expObs, int64(s.Exported.Len()))
-			} else {
-				c.ExportedSize.Observe(int64(s.Exported.Len()))
-			}
+			c.ExportedSize.Observe(int64(s.Exported.Len()))
 		}
 	}
 }
@@ -102,7 +98,7 @@ func (w *Worker) crossBoundary(ret int64) boundary {
 	if ret == MagicHalt || ret == MagicSched {
 		return boundary{ret: ret, bottom: true}
 	}
-	t, ok := w.takeThunk(ret)
+	t, ok := w.M.takeThunk(ret)
 	if !ok {
 		w.fail(ret, "unwound into unknown magic pc")
 	}
@@ -181,7 +177,7 @@ func (w *Worker) SuspendCurrent(resumePC int64, n int) *Context {
 	w.checkInvariants("suspend")
 	if w.Obs != nil {
 		w.Obs.Charge(obs.PhaseSuspend, w.Cycles-t0)
-		w.obsSpan(t0, w.Cycles, "suspend", obs.Arg{K: "frames", V: int64(unwound)})
+		w.M.Opts.Obs.Span(t0, w.Cycles, w.ID, "suspend", obs.Arg{K: "frames", V: int64(unwound)})
 	}
 	return c
 }
@@ -225,7 +221,7 @@ func (w *Worker) SuspendAllCurrent(resumePC int64) *Context {
 	w.updateMaxECell()
 	if w.Obs != nil {
 		w.Obs.Charge(obs.PhaseSuspend, w.Cycles-t0)
-		w.obsSpan(t0, w.Cycles, "suspend-all", obs.Arg{K: "frames", V: int64(unwound)})
+		w.M.Opts.Obs.Span(t0, w.Cycles, w.ID, "suspend-all", obs.Arg{K: "frames", V: int64(unwound)})
 	}
 	return c
 }
@@ -245,9 +241,9 @@ func (w *Worker) RestartChain(c *Context, callsite, realResume int64, markFork b
 	for i := 0; i < isa.NumCalleeSave; i++ {
 		t.regs[i] = w.Regs[isa.R0+isa.Reg(i)]
 	}
-	tpc := w.newThunkPC(t)
-	w.memStore(c.Bottom-1, tpc)
-	w.memStore(c.Bottom-2, w.FP())
+	tpc := w.M.newThunkPC(t)
+	w.M.Mem.Store(c.Bottom-1, tpc)
+	w.M.Mem.Store(c.Bottom-2, w.FP())
 
 	// Export the current frame when it lies above the chain's bottom frame
 	// (Section 5.3, first subtle case): a later shrink must not reclaim it.
@@ -271,7 +267,7 @@ func (w *Worker) RestartChain(c *Context, callsite, realResume int64, markFork b
 	w.updateMaxECell()
 	w.checkInvariants("restart")
 	if w.Obs != nil {
-		w.obsInstant(w.Cycles, "restart", obs.Arg{K: "top", V: c.Top})
+		w.M.Opts.Obs.Instant(w.Cycles, w.ID, "restart", obs.Arg{K: "top", V: c.Top})
 	}
 }
 
@@ -281,8 +277,8 @@ func (w *Worker) StartThread(c *Context) {
 	if w.FP() != 0 {
 		w.fail(w.PC, "StartThread with a non-empty logical stack")
 	}
-	w.memStore(c.Bottom-1, MagicSched)
-	w.memStore(c.Bottom-2, 0)
+	w.M.Mem.Store(c.Bottom-1, MagicSched)
+	w.M.Mem.Store(c.Bottom-2, 0)
 	for i := 0; i < isa.NumCalleeSave; i++ {
 		w.Regs[isa.R0+isa.Reg(i)] = c.Regs[i]
 	}
@@ -306,7 +302,7 @@ func (w *Worker) StartCall(entry int64, args []int64) {
 	}
 	w.Regs[isa.SP] = w.bottomSP()
 	for i, a := range args {
-		w.memStore(w.Regs[isa.SP]+int64(i), a)
+		w.M.Mem.Store(w.Regs[isa.SP]+int64(i), a)
 	}
 	w.Regs[isa.LR] = MagicHalt
 	w.PC = entry
@@ -354,7 +350,7 @@ func (w *Worker) Shrink() {
 	w.sweepSegments()
 	exp := &w.seg().Exported
 	popped := 0
-	for !exp.Empty() && w.memLoad(exp.Top().FP-1) == 0 {
+	for !exp.Empty() && w.M.Mem.Load(exp.Top().FP-1) == 0 {
 		exp.PopTop()
 		w.Stats.Shrinks++
 		popped++
@@ -365,7 +361,7 @@ func (w *Worker) Shrink() {
 	}
 	w.updateMaxECell()
 	if w.Obs != nil {
-		w.obsInstant(w.Cycles, "shrink", obs.Arg{K: "popped", V: int64(popped)})
+		w.M.Opts.Obs.Instant(w.Cycles, w.ID, "shrink", obs.Arg{K: "popped", V: int64(popped)})
 	}
 
 	curLow := int64(-1)
@@ -409,12 +405,12 @@ func (w *Worker) CountThreads() int {
 		if depth > 1<<20 {
 			w.fail(w.PC, "logical stack walk did not terminate")
 		}
-		ret := w.memLoad(fp - 1)
+		ret := w.M.Mem.Load(fp - 1)
 		if ret == MagicHalt || ret == MagicSched {
 			return threads
 		}
 		if ret < 0 {
-			t, ok := w.peekThunk(ret)
+			t, ok := w.M.thunks[ret]
 			if !ok {
 				w.fail(ret, "logical stack walk hit unknown magic pc")
 			}
@@ -432,7 +428,7 @@ func (w *Worker) CountThreads() int {
 				threads++
 			}
 		}
-		fp = w.memLoad(fp - 2)
+		fp = w.M.Mem.Load(fp - 2)
 		if fp == 0 {
 			return threads
 		}
@@ -447,7 +443,7 @@ func (w *Worker) runBuiltin(b isa.Builtin, callPC int64) (Event, bool) {
 	w.Cycles += w.M.Cost.BuiltinCost[b]
 	m := w.M
 	sp := w.Regs[isa.SP]
-	arg := func(i int64) int64 { return w.memLoad(sp + i) }
+	arg := func(i int64) int64 { return w.M.Mem.Load(sp + i) }
 	toLR := func() { w.PC = w.Regs[isa.LR] }
 
 	switch b {
@@ -462,7 +458,7 @@ func (w *Worker) runBuiltin(b isa.Builtin, callPC int64) (Event, bool) {
 		ctxAddr, n, lockAddr := arg(0), arg(1), arg(2)
 		c := w.SuspendCurrent(w.Regs[isa.LR], int(n))
 		w.writeContext(ctxAddr, c)
-		w.memStore(lockAddr, 0)
+		w.M.Mem.Store(lockAddr, 0)
 	case isa.BRestart:
 		c := w.readContext(arg(0))
 		w.RestartChain(c, callPC, w.Regs[isa.LR], false)
@@ -471,9 +467,6 @@ func (w *Worker) runBuiltin(b isa.Builtin, callPC int64) (Event, bool) {
 		w.ReadyQ.PushTail(c)
 		toLR()
 	case isa.BAlloc:
-		// Heap allocation bumps the machine-global pointer: order-dependent,
-		// so it cannot be speculated.
-		w.specForbid()
 		a, err := m.Mem.Alloc(arg(0))
 		if err != nil {
 			w.fail(callPC, "alloc: %v", err)
@@ -481,26 +474,23 @@ func (w *Worker) runBuiltin(b isa.Builtin, callPC int64) (Event, bool) {
 		w.Regs[isa.RV] = a
 		toLR()
 	case isa.BPrintInt:
-		w.specForbid() // output order is global
 		fmt.Fprintf(m.Opts.Out, "%d\n", arg(0))
 		toLR()
 	case isa.BPrintFloat:
-		w.specForbid()
 		fmt.Fprintf(m.Opts.Out, "%g\n", b2f(arg(0)))
 		toLR()
 	case isa.BLock:
 		addr := arg(0)
-		if w.memLoad(addr) != 0 {
+		if w.M.Mem.Load(addr) != 0 {
 			w.PC = callPC // retry the lock when rescheduled
 			return EvBlocked, false
 		}
-		w.memStore(addr, int64(w.ID)+1)
+		w.M.Mem.Store(addr, int64(w.ID)+1)
 		toLR()
 	case isa.BUnlock:
-		w.memStore(arg(0), 0)
+		w.M.Mem.Store(arg(0), 0)
 		toLR()
 	case isa.BRand:
-		w.specForbid() // the shared PRNG's sequence is global order
 		w.Regs[isa.RV] = int64(m.nextRand() >> 1)
 		toLR()
 	case isa.BSin:
@@ -521,14 +511,14 @@ func (w *Worker) runBuiltin(b isa.Builtin, callPC int64) (Event, bool) {
 	case isa.BMemCopy:
 		dst, src, n := arg(0), arg(1), arg(2)
 		for i := int64(0); i < n; i++ {
-			w.memStore(dst+i, w.memLoad(src+i))
+			w.M.Mem.Store(dst+i, w.M.Mem.Load(src+i))
 		}
 		w.Cycles += n * (m.Cost.OpCost[isa.Load] + m.Cost.OpCost[isa.Store])
 		toLR()
 	case isa.BMemSet:
 		addr, v, n := arg(0), arg(1), arg(2)
 		for i := int64(0); i < n; i++ {
-			w.memStore(addr+i, v)
+			w.M.Mem.Store(addr+i, v)
 		}
 		w.Cycles += n * m.Cost.OpCost[isa.Store]
 		toLR()
@@ -544,19 +534,14 @@ func (w *Worker) runBuiltin(b isa.Builtin, callPC int64) (Event, bool) {
 	case isa.BCanary:
 		addr, val, flags := arg(0), arg(1), arg(2)
 		if cm := m.Opts.Canary; cm != nil {
-			// Map mutations must replay in sequential oracle order on the
-			// speculative engines, or the taint state (and any faults it
-			// records) would differ across engines.
-			w.specForbid()
 			cm.register(w, addr, val, flags&1 != 0)
 		}
-		w.memStore(addr, val)
+		w.M.Mem.Store(addr, val)
 		toLR()
 	case isa.BCanaryRetire:
 		addr, want := arg(0), arg(1)
 		if cm := m.Opts.Canary; cm != nil {
-			w.specForbid()
-			cm.retire(w, addr, want, w.memLoad(addr))
+			cm.retire(w, addr, want, w.M.Mem.Load(addr))
 		}
 		toLR()
 	case isa.BHalt:

@@ -12,18 +12,16 @@ import (
 )
 
 // This file implements whole-machine state export/import — the substrate of
-// checkpoint/resume and cluster-level job migration. Where spec.go captures
-// one worker's architectural state for the duration of a speculative quantum
-// (sharing pointers with the live machine), ExportState produces a fully
-// self-contained, host-independent value: every field is plain data, so the
-// snapshot codec can serialize it and a different process can rebuild an
-// identical machine from it.
+// checkpoint/resume and cluster-level job migration. ExportState produces a
+// fully self-contained, host-independent value: every field is plain data,
+// so the snapshot codec can serialize it and a different process can
+// rebuild an identical machine from it.
 //
 // The contract is exactness: reconstruct the machine the same way it was
 // originally built (same program, memory sizes, cost model, worker count,
 // options), call ImportState with a state exported at a scheduler pick
 // boundary, and the resumed run is byte-identical to the undisturbed one —
-// the round-trip property tests in internal/sched prove it across engines.
+// the round-trip property tests in internal/sched prove it.
 
 // ContextState is the serializable form of a suspended thread Context.
 type ContextState struct {
@@ -77,8 +75,8 @@ type State struct {
 }
 
 // ExportState captures the machine's complete state. It must be called at a
-// quiescent point (a scheduler pick boundary): no worker mid-quantum, no
-// speculation outstanding. Everything is deep-copied.
+// quiescent point (a scheduler pick boundary): no worker mid-quantum.
+// Everything is deep-copied.
 func (m *Machine) ExportState() *State {
 	st := &State{
 		Mem:       m.Mem.ExportState(),

@@ -57,8 +57,7 @@ type Memory struct {
 	heapHi   Addr
 }
 
-// Page geometry: the unit of lazy materialization, of memory images, and of
-// the throughput engine's copy-on-first-touch views.
+// Page geometry: the unit of lazy materialization and of memory images.
 const (
 	PageShift = 9
 	PageWords = 1 << PageShift
@@ -98,13 +97,11 @@ func (m *Memory) extend(size Addr) {
 // Size returns the total number of mapped words (including the guard).
 func (m *Memory) Size() Addr { return m.size }
 
-// Pages exposes the page table for the interpreter's batched fast path and
-// the throughput engine's page views, which perform their own guard check
-// per access. A nil entry reads as zero; callers store to one through
-// Store, which materializes it in this same table. The slice header is
-// invalidated by the next MapStack/MapWords or ImportState, so callers
-// re-fetch it at every batch boundary and retain it only while nothing can
-// map memory (a chain's view, for its bulk-synchronous launch phase).
+// Pages exposes the page table for the interpreter's batched fast path,
+// which performs its own guard check per access. A nil entry reads as zero;
+// callers store to one through Store, which materializes it in this same
+// table. The slice header is invalidated by the next MapStack/MapWords or
+// ImportState, so the fast path re-fetches it at every batch boundary.
 func (m *Memory) Pages() []*Page { return m.pages }
 
 // HeapLo returns the first heap address.

@@ -321,13 +321,6 @@ func (o *WorkerObs) Charge(p Phase, cycles int64) {
 // around nested runtime operations.
 func (o *WorkerObs) AttributedTotal() int64 { return o.attributed }
 
-// Snapshot returns the worker-local observability state. Every field except
-// the collector pointer is a value, so a shallow copy is a full snapshot.
-func (o *WorkerObs) Snapshot() WorkerObs { return *o }
-
-// Restore reinstalls a state previously returned by Snapshot.
-func (o *WorkerObs) Restore(s WorkerObs) { *o = s }
-
 // AddSample feeds the profiler one stack observation: pcs[0] is the leaf
 // (executing) pc, the rest are caller call sites from the logical-stack
 // walk. weight is the number of whole sample periods the observation covers

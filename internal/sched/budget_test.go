@@ -13,6 +13,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/stlib"
 )
 
@@ -40,8 +41,7 @@ func buildUnboundedRecursion(v apps.Variant) *apps.Workload {
 }
 
 // TestCycleBudgetUnboundedRecursion: the unbounded recursion aborts with
-// the typed budget error, in every mode, on both engines, at the same
-// deterministic point.
+// the typed budget error, in every mode.
 func TestCycleBudgetUnboundedRecursion(t *testing.T) {
 	const budget = 50_000
 	for _, tc := range []struct {
@@ -49,19 +49,15 @@ func TestCycleBudgetUnboundedRecursion(t *testing.T) {
 		mode    core.Mode
 		variant apps.Variant
 		workers int
-		engine  core.Engine
 	}{
-		{"seq", core.Sequential, apps.Seq, 1, core.EngineSequential},
-		{"st/sequential", core.StackThreads, apps.ST, 4, core.EngineSequential},
-		{"st/throughput", core.StackThreads, apps.ST, 4, core.EngineThroughput},
-		{"cilk/sequential", core.Cilk, apps.ST, 4, core.EngineSequential},
-		{"cilk/throughput", core.Cilk, apps.ST, 4, core.EngineThroughput},
+		{"seq", core.Sequential, apps.Seq, 1},
+		{"st/sequential", core.StackThreads, apps.ST, 4},
+		{"cilk/sequential", core.Cilk, apps.ST, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := buildUnboundedRecursion(tc.variant)
 			_, err := core.Run(w, core.Config{
-				Mode: tc.mode, Workers: tc.workers, Engine: tc.engine,
-				Seed: 1, MaxWorkCycles: budget,
+				Mode: tc.mode, Workers: tc.workers, Seed: 1, MaxWorkCycles: budget,
 			})
 			if err == nil {
 				t.Fatal("unbounded recursion completed under a cycle budget")
@@ -80,13 +76,15 @@ func TestCycleBudgetUnboundedRecursion(t *testing.T) {
 	}
 }
 
-// TestCycleBudgetDeterministicAcrossEngines: both engines abort a budgeted
-// run at the identical point, so the typed error is byte-identical too.
+// TestCycleBudgetDeterministicAcrossEngines: a budgeted run aborts at the
+// identical point with observability attached and without — the sampler
+// splits the interpreter's batches differently on the two paths — so the
+// typed error is byte-identical too.
 func TestCycleBudgetDeterministicAcrossEngines(t *testing.T) {
-	run := func(engine core.Engine) string {
+	run := func(col *obs.Collector) string {
 		_, err := core.Run(apps.Fib(15, apps.ST), core.Config{
 			Mode: core.StackThreads, Workers: 4, Seed: 1,
-			Engine: engine, MaxWorkCycles: 30_000,
+			Obs: col, MaxWorkCycles: 30_000,
 		})
 		if err == nil {
 			t.Fatal("fib(15) finished under a 30k-cycle budget")
@@ -96,8 +94,8 @@ func TestCycleBudgetDeterministicAcrossEngines(t *testing.T) {
 		}
 		return err.Error()
 	}
-	if a, b := run(core.EngineSequential), run(core.EngineThroughput); a != b {
-		t.Fatalf("engines aborted differently:\n  sequential: %s\n  throughput: %s", a, b)
+	if a, b := run(nil), run(obs.New()); a != b {
+		t.Fatalf("runs aborted differently:\n  obs off: %s\n  obs on:  %s", a, b)
 	}
 }
 
@@ -190,7 +188,7 @@ func TestHugeFiniteQuantum(t *testing.T) {
 }
 
 // TestContextCancellation: a canceled context aborts the run with the
-// context's error, in every mode and on both engines.
+// context's error, in every mode.
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -199,16 +197,13 @@ func TestContextCancellation(t *testing.T) {
 		mode    core.Mode
 		variant apps.Variant
 		workers int
-		engine  core.Engine
 	}{
-		{"seq", core.Sequential, apps.Seq, 1, core.EngineSequential},
-		{"st/sequential", core.StackThreads, apps.ST, 4, core.EngineSequential},
-		{"st/throughput", core.StackThreads, apps.ST, 4, core.EngineThroughput},
+		{"seq", core.Sequential, apps.Seq, 1},
+		{"st/sequential", core.StackThreads, apps.ST, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := core.Run(apps.Fib(15, tc.variant), core.Config{
-				Mode: tc.mode, Workers: tc.workers, Seed: 1,
-				Engine: tc.engine, Ctx: ctx,
+				Mode: tc.mode, Workers: tc.workers, Seed: 1, Ctx: ctx,
 			})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"reflect"
 	"strconv"
 	"testing"
 
@@ -45,41 +44,33 @@ func chaosWorkloads() []func() *apps.Workload {
 }
 
 // runFaulted executes a workload under a fault plan with the auditor and
-// the machine invariant checker enabled, on the given engine.
+// the machine invariant checker enabled. A nil collector runs obs-free.
 func runFaulted(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int,
-	seed uint64, engine core.Engine, plan *fault.Plan) diffRun {
+	seed uint64, plan *fault.Plan, collector *obs.Collector) diffRun {
 	t.Helper()
 	w := mk()
 	var events sched.EventLog
 	var out bytes.Buffer
-	collector := obs.New()
-	res, err := core.Run(w, core.Config{
-		Mode:            mode,
-		Workers:         workers,
-		Seed:            seed,
-		Engine:          engine,
-		HostProcs:       4,
-		CheckInvariants: true,
-		SegmentedStacks: workers > 1,
-		Events:          &events,
-		Obs:             collector,
-		Out:             &out,
-		Fault:           fault.New(plan),
-		Audit:           invariant.New(64),
-	})
+	cfg := rtConfig(mode, workers, seed, &events, collector, &out)
+	cfg.Fault = fault.New(plan)
+	res, err := core.Run(w, cfg)
 	if err != nil {
-		t.Fatalf("%s mode=%v workers=%d seed=%d engine=%v plan=%v: %v",
-			w.Name, mode, workers, seed, engine, plan, err)
+		t.Fatalf("%s mode=%v workers=%d seed=%d plan=%v obs=%t: %v",
+			w.Name, mode, workers, seed, plan, collector != nil, err)
 	}
-	return diffRun{res: res, events: events.Sorted(), out: out.Bytes(), obs: obsDump(collector)}
+	r := diffRun{res: res, events: events.Sorted(), out: out.Bytes()}
+	if collector != nil {
+		r.obs = obsDump(collector)
+	}
+	return r
 }
 
 // TestChaosDifferential is the capstone determinism claim for injected
 // faults: a virtual fault plan is part of the run's input, so for every
-// (workload, mode, plan, seed) both engines must produce byte-identical
-// everything — Result, program output, event log, and full observability
-// state — with the §3.2 auditor running and reporting no violation, and
-// the workload's own Verify accepting the output. Runs are bounded by the
+// (workload, mode, plan, seed) the run with observability attached and the
+// obs-free run must produce byte-identical Result, program output and
+// event log — with the §3.2 auditor running and reporting no violation,
+// and the workload's own Verify accepting the output. Runs are bounded by the
 // scheduler's MaxCycles backstop and the per-test watchdog, so a faulted
 // run can never hang silently.
 func TestChaosDifferential(t *testing.T) {
@@ -105,22 +96,11 @@ func TestChaosDifferential(t *testing.T) {
 						}
 						plan.Seed = seed
 						ctx := fmt.Sprintf("%s mode=%v seed=%d", mk().Name, mode, seed)
-						seq := runFaulted(t, mk, mode, 4, seed, core.EngineSequential, &plan)
+						observed := runFaulted(t, mk, mode, 4, seed, &plan, obs.New())
 						p := plan
-						got := runFaulted(t, mk, mode, 4, seed, core.EngineThroughput, &p)
-						if !reflect.DeepEqual(seq.res, got.res) {
-							t.Fatalf("%s: faulted Result diverged:\nseq: %+v\ngot: %+v", ctx, seq.res, got.res)
-						}
-						if !reflect.DeepEqual(seq.events, got.events) {
-							t.Fatalf("%s: faulted event log diverged (%d vs %d events)",
-								ctx, len(seq.events), len(got.events))
-						}
-						if !bytes.Equal(seq.out, got.out) {
-							t.Fatalf("%s: faulted output diverged:\nseq: %q\ngot: %q", ctx, seq.out, got.out)
-						}
-						if !bytes.Equal(seq.obs, got.obs) {
-							t.Fatalf("%s: faulted obs snapshot diverged", ctx)
-						}
+						plain := runFaulted(t, mk, mode, 4, seed, &p, nil)
+						plain.obs = observed.obs // no collector to compare
+						diffCompare(t, "faulted "+ctx, observed, plain)
 					}
 				}
 			}
@@ -129,7 +109,7 @@ func TestChaosDifferential(t *testing.T) {
 }
 
 // TestChaosReplayDeterminism reruns one faulted configuration several
-// times per engine: the fault plan must replay exactly.
+// times: the fault plan must replay exactly.
 func TestChaosReplayDeterminism(t *testing.T) {
 	plan, err := fault.PlanByName("mixed")
 	if err != nil {
@@ -137,20 +117,12 @@ func TestChaosReplayDeterminism(t *testing.T) {
 	}
 	plan.Seed = 7
 	mk := func() *apps.Workload { return apps.NQueens(6, apps.ST) }
-	for _, engine := range []core.Engine{core.EngineSequential, core.EngineThroughput} {
-		var first diffRun
-		for i := 0; i < 3; i++ {
-			p := plan
-			r := runFaulted(t, mk, core.StackThreads, 4, 5, engine, &p)
-			if i == 0 {
-				first = r
-				continue
-			}
-			if !reflect.DeepEqual(first.res, r.res) || !reflect.DeepEqual(first.events, r.events) ||
-				!bytes.Equal(first.obs, r.obs) {
-				t.Fatalf("engine=%v: faulted run %d diverged from run 0", engine, i)
-			}
-		}
+	p := plan
+	first := runFaulted(t, mk, core.StackThreads, 4, 5, &p, obs.New())
+	for i := 1; i < 3; i++ {
+		p := plan
+		r := runFaulted(t, mk, core.StackThreads, 4, 5, &p, obs.New())
+		diffCompare(t, fmt.Sprintf("faulted rerun %d", i), first, r)
 	}
 }
 

@@ -10,21 +10,19 @@ import (
 )
 
 // This file implements pick-boundary continuation capture and resumption —
-// the paper's suspend/restart lifted from threads to whole runs. Every
-// engine calls checkAbort with the picked worker, in the same pick sequence,
-// while the machine is quiescent (the throughput engine is bulk-synchronous:
-// chains run strictly between picks and the workers always hold the
-// sequential oracle's state at the boundary). A state captured there and
-// later restored into an identically constructed machine continues
-// byte-identically to the undisturbed run, on any engine.
+// the paper's suspend/restart lifted from threads to whole runs. The
+// scheduler loop calls checkAbort with the picked worker at every pick,
+// while the machine is quiescent. A state captured there and later restored
+// into an identically constructed machine continues byte-identically to the
+// undisturbed run.
 
 // Checkpoint configures continuation capture at scheduler pick boundaries.
 // One Checkpoint serves one run; do not share across runs.
 type Checkpoint struct {
 	// EveryCycles, when positive, invokes Sink with a captured boundary
 	// every time the run's total work advances by at least this many
-	// virtual cycles. Work totals at pick boundaries are engine-invariant,
-	// so the capture points — and the captured bytes — are too.
+	// virtual cycles. Work totals at pick boundaries are deterministic, so
+	// the capture points — and the captured bytes — are too.
 	EveryCycles int64
 	// Sink receives each periodic capture; a non-nil error aborts the run
 	// with it. Called on the scheduler goroutine with the machine quiescent.
@@ -179,8 +177,7 @@ func (s *scheduler) importState(st *SchedState) error {
 // boundary's machine state already imported; cfg must carry the same tuple
 // (mode, policy, seed, quantum, budget) and, for byte-identical artifacts,
 // an obs collector, event log and output writer pre-seeded with the state
-// captured alongside the boundary. The engine choice is free: any engine
-// resumes any capture.
+// captured alongside the boundary.
 func Resume(m *machine.Machine, cfg Config, st *SchedState) (*Result, error) {
 	s, err := newScheduler(m, cfg)
 	if err != nil {

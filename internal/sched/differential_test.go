@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/invariant"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -49,7 +48,7 @@ func diffWorkloads() []func() *apps.Workload {
 	}
 }
 
-// diffRun is one engine run's complete observable state.
+// diffRun is one run's complete observable state.
 type diffRun struct {
 	res    *core.Result
 	events []sched.TraceEvent
@@ -57,51 +56,38 @@ type diffRun struct {
 	obs    []byte
 }
 
-// runEngine executes the workload under one engine with full observability
-// attached and returns everything an engine could influence.
-func runEngine(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int,
-	seed uint64, engine core.Engine) diffRun {
+// runEngine executes the workload with full observability attached and
+// returns everything the run produces.
+func runEngine(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int, seed uint64) diffRun {
 	t.Helper()
-	w := mk()
-	var events sched.EventLog
-	var out bytes.Buffer
 	collector := obs.New()
-	res, err := core.Run(w, core.Config{
-		Mode:            mode,
-		Workers:         workers,
-		Seed:            seed,
-		Engine:          engine,
-		HostProcs:       4,
-		CheckInvariants: true,
-		SegmentedStacks: workers > 1,
-		Events:          &events,
-		Obs:             collector,
-		Out:             &out,
-		// The live auditor rides along on the whole differential matrix:
-		// any §3.2 or conservation violation fails the run. Auditing
-		// changes no bytes, so the engine comparison stays exact.
-		Audit: invariant.New(64),
-	})
-	if err != nil {
-		t.Fatalf("%s mode=%v workers=%d seed=%d engine=%v: %v",
-			w.Name, mode, workers, seed, engine, err)
-	}
-	return diffRun{res: res, events: events.Sorted(), out: out.Bytes(), obs: obsDump(collector)}
+	r := runWith(t, mk, mode, workers, seed, collector)
+	r.obs = obsDump(collector)
+	return r
 }
 
 // runEnginePlain is runEngine without the observability collector: the
 // obs-free interpreter paths compare on Result, program output and the
 // sorted event log, which is everything such a run produces.
-func runEnginePlain(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int,
-	seed uint64, engine core.Engine) diffRun {
+func runEnginePlain(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int, seed uint64) diffRun {
+	t.Helper()
+	return runWith(t, mk, mode, workers, seed, nil)
+}
+
+// runWith runs the workload under rtConfig with the given collector (nil
+// for an obs-free run). The live auditor rides along on every run: any
+// §3.2 or conservation violation fails it. Auditing changes no bytes, so
+// comparisons stay exact.
+func runWith(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int,
+	seed uint64, collector *obs.Collector) diffRun {
 	t.Helper()
 	w := mk()
 	var events sched.EventLog
 	var out bytes.Buffer
-	res, err := core.Run(w, rtConfig(mode, workers, seed, engine, &events, nil, &out))
+	res, err := core.Run(w, rtConfig(mode, workers, seed, &events, collector, &out))
 	if err != nil {
-		t.Fatalf("%s mode=%v workers=%d seed=%d engine=%v: %v",
-			w.Name, mode, workers, seed, engine, err)
+		t.Fatalf("%s mode=%v workers=%d seed=%d obs=%t: %v",
+			w.Name, mode, workers, seed, collector != nil, err)
 	}
 	return diffRun{res: res, events: events.Sorted(), out: out.Bytes()}
 }
@@ -125,31 +111,31 @@ func obsDump(c *obs.Collector) []byte {
 	return b.Bytes()
 }
 
-// diffCompare asserts a candidate engine's run is byte-identical to the
-// sequential oracle's in every observable dimension.
-func diffCompare(t *testing.T, ctx string, engine core.Engine, seq, got diffRun) {
+// diffCompare asserts a candidate run is byte-identical to the reference
+// run in every observable dimension.
+func diffCompare(t *testing.T, ctx string, want, got diffRun) {
 	t.Helper()
-	if !reflect.DeepEqual(seq.res, got.res) {
-		t.Fatalf("%s: %v Result diverged:\nseq: %+v\ngot: %+v", ctx, engine, seq.res, got.res)
+	if !reflect.DeepEqual(want.res, got.res) {
+		t.Fatalf("%s: Result diverged:\nwant: %+v\ngot:  %+v", ctx, want.res, got.res)
 	}
-	if !reflect.DeepEqual(seq.events, got.events) {
-		t.Fatalf("%s: %v event log diverged (%d vs %d events)",
-			ctx, engine, len(seq.events), len(got.events))
+	if !reflect.DeepEqual(want.events, got.events) {
+		t.Fatalf("%s: event log diverged (%d vs %d events)", ctx, len(want.events), len(got.events))
 	}
-	if !bytes.Equal(seq.out, got.out) {
-		t.Fatalf("%s: %v program output diverged:\nseq: %q\ngot: %q", ctx, engine, seq.out, got.out)
+	if !bytes.Equal(want.out, got.out) {
+		t.Fatalf("%s: program output diverged:\nwant: %q\ngot:  %q", ctx, want.out, got.out)
 	}
-	if !bytes.Equal(seq.obs, got.obs) {
-		t.Fatalf("%s: %v obs snapshot diverged:\nseq:\n%s\ngot:\n%s", ctx, engine, seq.obs, got.obs)
+	if !bytes.Equal(want.obs, got.obs) {
+		t.Fatalf("%s: obs snapshot diverged:\nwant:\n%s\ngot:\n%s", ctx, want.obs, got.obs)
 	}
 }
 
-// TestEngineDifferential is the equivalence matrix — the differential
-// oracle of every non-sequential engine: for every workload × mode ×
-// worker count × seed, the throughput engine must produce
-// byte-identical Result, program output, sorted event log, and
-// observability state (metrics, phase attribution, profile, trace) to the
-// sequential engine, with the invariant checker on.
+// TestEngineDifferential is the equivalence matrix: for every workload ×
+// mode × worker count × seed, the run with observability attached must
+// produce byte-identical Result, program output and sorted event log to the
+// same tuple run obs-free, with the invariant checker on. The obs sampler
+// is a second batching deadline, so the two legs split straight-line runs
+// at different points and take different paths through the batched tier:
+// the matrix checks that observation never changes a run.
 func TestEngineDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix")
@@ -167,10 +153,13 @@ func TestEngineDifferential(t *testing.T) {
 						if len(seeds) <= 3 && wi >= 5 && seed != seeds[workers%len(seeds)] {
 							continue
 						}
-						seq := runEngine(t, mk, mode, workers, seed, core.EngineSequential)
+						observed := runEngine(t, mk, mode, workers, seed)
 						ctx := fmt.Sprintf("mode=%v workers=%d seed=%d", mode, workers, seed)
-						got := runEngine(t, mk, mode, workers, seed, core.EngineThroughput)
-						diffCompare(t, ctx, core.EngineThroughput, seq, got)
+						plain := runEnginePlain(t, mk, mode, workers, seed)
+						// The obs-free leg has no collector to compare; every
+						// other dimension must match.
+						plain.obs = observed.obs
+						diffCompare(t, ctx, observed, plain)
 					}
 				}
 			}
@@ -178,24 +167,13 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestParallelEngineDeterminism reruns the non-sequential engines against
-// themselves: host scheduling must never leak into results.
+// TestParallelEngineDeterminism reruns one multi-worker tuple three times:
+// host scheduling must never leak into results.
 func TestParallelEngineDeterminism(t *testing.T) {
 	mk := func() *apps.Workload { return apps.NQueens(7, apps.ST) }
-	for _, engine := range []core.Engine{core.EngineThroughput} {
-		t.Run(engine.String(), func(t *testing.T) {
-			var first diffRun
-			for i := 0; i < 3; i++ {
-				r := runEngine(t, mk, core.StackThreads, 6, 9, engine)
-				if i == 0 {
-					first = r
-					continue
-				}
-				if !reflect.DeepEqual(first.res, r.res) || !reflect.DeepEqual(first.events, r.events) ||
-					!bytes.Equal(first.obs, r.obs) {
-					t.Fatalf("%v engine run %d diverged from run 0", engine, i)
-				}
-			}
-		})
+	first := runEngine(t, mk, core.StackThreads, 6, 9)
+	for i := 1; i < 3; i++ {
+		r := runEngine(t, mk, core.StackThreads, 6, 9)
+		diffCompare(t, fmt.Sprintf("rerun %d", i), first, r)
 	}
 }

@@ -15,45 +15,42 @@ import (
 )
 
 // captureBoundary runs cfg until pick boundary `pick` and returns the
-// continuation it yields there.
-func captureBoundary(t *testing.T, w *apps.Workload, cfg core.Config, pick int64) *sched.Boundary {
+// continuation it yields there. When from is non-nil the run resumes from
+// that continuation instead of starting fresh.
+func captureBoundary(t *testing.T, w *apps.Workload, cfg core.Config, from *sched.Boundary, pick int64) *sched.Boundary {
 	t.Helper()
 	cfg.Checkpoint = &sched.Checkpoint{YieldAtPick: pick}
-	_, err := core.Run(w, cfg)
+	var err error
+	if from != nil {
+		_, err = core.Resume(w, cfg, from)
+	} else {
+		_, err = core.Run(w, cfg)
+	}
 	var ye *sched.YieldError
 	if !errors.As(err, &ye) {
-		t.Fatalf("%s pick=%d engine=%v: expected a yield, got err=%v", w.Name, pick, cfg.Engine, err)
+		t.Fatalf("%s pick=%d resumed=%t: expected a yield, got err=%v", w.Name, pick, from != nil, err)
 	}
 	return ye.Boundary
 }
 
-// TestContinuationImageEngineIndependent captures the same pick boundary
-// once on the sequential engine, whose stores go straight to shared memory,
-// and once on the throughput engine, whose stores reach shared memory
-// through chain commits. The two memories arrive at their contents through
-// different page materialization histories; their images and the encoded
-// continuations must still be identical.
+// TestContinuationImageEngineIndependent captures the same pick boundary P
+// twice: directly, and after resuming from a capture at P/2. The resumed
+// machine starts from an imported image, so its pages materialize in a
+// different order than the direct run's; the two memory images and the
+// encoded continuations must still be identical.
 func TestContinuationImageEngineIndependent(t *testing.T) {
 	mk := func() *apps.Workload { return apps.Fib(14, apps.ST) }
-	const workers, seed = 4, 3
-	cfg := func(engine core.Engine) core.Config {
-		return core.Config{Mode: core.StackThreads, Workers: workers, Seed: seed, Engine: engine, HostProcs: 4}
-	}
-	ref, err := core.Run(mk(), cfg(core.EngineSequential))
+	cfg := core.Config{Mode: core.StackThreads, Workers: 4, Seed: 3}
+	ref, err := core.Run(mk(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pick := ref.Picks * 3 / 4
-	seq := captureBoundary(t, mk(), cfg(core.EngineSequential), pick)
-	var cont sched.Contention
-	tcfg := cfg(core.EngineThroughput)
-	tcfg.Contention = &cont
-	tp := captureBoundary(t, mk(), tcfg, pick)
-	if cont.ChainCommits.Load() == 0 {
-		t.Fatal("the throughput capture committed no chain segment")
-	}
-	if !reflect.DeepEqual(seq.Mach.Mem, tp.Mach.Mem) {
-		t.Fatalf("memory images differ: sequential pages %v, throughput pages %v", seq.Mach.Mem.Index, tp.Mach.Mem.Index)
+	direct := captureBoundary(t, mk(), cfg, nil, pick)
+	half := captureBoundary(t, mk(), cfg, nil, pick/2)
+	resumed := captureBoundary(t, mk(), cfg, half, pick)
+	if !reflect.DeepEqual(direct.Mach.Mem, resumed.Mach.Mem) {
+		t.Fatalf("memory images differ: direct pages %v, resumed pages %v", direct.Mach.Mem.Index, resumed.Mach.Mem.Index)
 	}
 	encode := func(b *sched.Boundary) []byte {
 		enc, err := snapshot.Encode(&snapshot.Snapshot{Key: "fib", Mach: b.Mach, Sched: b.Sched, Fault: b.Fault})
@@ -62,8 +59,8 @@ func TestContinuationImageEngineIndependent(t *testing.T) {
 		}
 		return enc
 	}
-	if !bytes.Equal(encode(seq), encode(tp)) {
-		t.Fatal("equal boundaries encoded to different continuation bytes across engines")
+	if !bytes.Equal(encode(direct), encode(resumed)) {
+		t.Fatal("equal boundaries encoded to different continuation bytes")
 	}
 }
 
@@ -89,7 +86,7 @@ func TestContinuationSizeFullFib(t *testing.T) {
 	}
 	col := obs.New()
 	cfg.Obs = col
-	b := captureBoundary(t, mk(), cfg, ref.Picks/2)
+	b := captureBoundary(t, mk(), cfg, nil, ref.Picks/2)
 	enc, err := snapshot.Encode(&snapshot.Snapshot{Key: "fib", Mach: b.Mach, Sched: b.Sched, Fault: b.Fault, Obs: col.ExportState()})
 	if err != nil {
 		t.Fatal(err)

@@ -17,21 +17,19 @@ import (
 )
 
 // Round-trip property: a run captured at ANY pick boundary, serialized
-// through the snapshot codec, deserialized and resumed — on any engine —
-// must be byte-identical in every observable dimension (Result, program
-// output, event log, obs state) to the undisturbed run. This is what makes
+// through the snapshot codec, deserialized and resumed must be
+// byte-identical in every observable dimension (Result, program output,
+// event log, obs state) to the undisturbed run. This is what makes
 // continuations safe to checkpoint to disk and ship between cluster nodes.
 
-// rtConfig builds the exact config the differential harness uses, so
-// round-trip comparisons hold to the same byte-identity standard.
-func rtConfig(mode core.Mode, workers int, seed uint64, engine core.Engine,
+// rtConfig builds the config every differential and round-trip run uses,
+// so all comparisons hold to the same byte-identity standard.
+func rtConfig(mode core.Mode, workers int, seed uint64,
 	events *sched.EventLog, collector *obs.Collector, out *bytes.Buffer) core.Config {
 	return core.Config{
 		Mode:            mode,
 		Workers:         workers,
 		Seed:            seed,
-		Engine:          engine,
-		HostProcs:       4,
 		CheckInvariants: true,
 		SegmentedStacks: workers > 1,
 		Events:          events,
@@ -45,17 +43,17 @@ func rtConfig(mode core.Mode, workers int, seed uint64, engine core.Engine,
 // returns the continuation with its partial artifacts as encoded snapshot
 // bytes — the full serialize leg. A nil collector captures an obs-free run.
 func captureAt(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int,
-	seed uint64, engine core.Engine, pick int64, collector *obs.Collector) []byte {
+	seed uint64, pick int64, collector *obs.Collector) []byte {
 	t.Helper()
 	w := mk()
 	var events sched.EventLog
 	var out bytes.Buffer
-	cfg := rtConfig(mode, workers, seed, engine, &events, collector, &out)
+	cfg := rtConfig(mode, workers, seed, &events, collector, &out)
 	cfg.Checkpoint = &sched.Checkpoint{YieldAtPick: pick}
 	_, err := core.Run(w, cfg)
 	var ye *sched.YieldError
 	if !errors.As(err, &ye) {
-		t.Fatalf("%s pick=%d engine=%v: expected a yield, got err=%v", w.Name, pick, engine, err)
+		t.Fatalf("%s pick=%d: expected a yield, got err=%v", w.Name, pick, err)
 	}
 	var obsState *obs.CollectorState
 	if collector != nil {
@@ -77,11 +75,11 @@ func captureAt(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers i
 	return enc
 }
 
-// resumeFrom decodes an encoded snapshot and resumes it under `engine`,
-// returning the finished run's complete observable state. A snapshot that
-// carries no collector state resumes obs-free, as it was captured.
+// resumeFrom decodes an encoded snapshot and resumes it, returning the
+// finished run's complete observable state. A snapshot that carries no
+// collector state resumes obs-free, as it was captured.
 func resumeFrom(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int,
-	seed uint64, engine core.Engine, enc []byte) diffRun {
+	seed uint64, enc []byte) diffRun {
 	t.Helper()
 	snap, err := snapshot.Decode(enc)
 	if err != nil {
@@ -98,10 +96,10 @@ func resumeFrom(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers 
 			t.Fatalf("obs import: %v", err)
 		}
 	}
-	cfg := rtConfig(mode, workers, seed, engine, &events, collector, &out)
+	cfg := rtConfig(mode, workers, seed, &events, collector, &out)
 	res, err := core.Resume(w, cfg, &sched.Boundary{Mach: snap.Mach, Sched: snap.Sched, Fault: snap.Fault})
 	if err != nil {
-		t.Fatalf("%s engine=%v: resume: %v", w.Name, engine, err)
+		t.Fatalf("%s: resume: %v", w.Name, err)
 	}
 	got := diffRun{res: res, events: events.Sorted(), out: out.Bytes()}
 	if collector != nil {
@@ -109,8 +107,6 @@ func resumeFrom(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers 
 	}
 	return got
 }
-
-var rtEngines = []core.Engine{core.EngineSequential, core.EngineThroughput}
 
 // TestRoundTripEveryBoundary sweeps every pick boundary of one small run:
 // capture → encode → decode → restore → run must reproduce the undisturbed
@@ -129,7 +125,7 @@ func TestRoundTripEveryBoundary(t *testing.T) {
 		if withObs {
 			run = runEngine
 		}
-		undisturbed := run(t, mk, mode, workers, seed, core.EngineSequential)
+		undisturbed := run(t, mk, mode, workers, seed)
 		picks := undisturbed.res.Picks
 		if picks < 2 {
 			t.Fatalf("run too small to exercise boundaries: %d picks", picks)
@@ -143,18 +139,17 @@ func TestRoundTripEveryBoundary(t *testing.T) {
 			if withObs {
 				collector = obs.New()
 			}
-			enc := captureAt(t, mk, mode, workers, seed, core.EngineSequential, pick, collector)
-			got := resumeFrom(t, mk, mode, workers, seed, core.EngineSequential, enc)
+			enc := captureAt(t, mk, mode, workers, seed, pick, collector)
+			got := resumeFrom(t, mk, mode, workers, seed, enc)
 			ctx := fmt.Sprintf("fib obs=%t pick=%d/%d", withObs, pick, picks)
-			diffCompare(t, ctx, core.EngineSequential, undisturbed, got)
+			diffCompare(t, ctx, undisturbed, got)
 		}
 	}
 }
 
 // TestRoundTripMatrix extends the differential matrix through the codec:
-// workloads × modes × worker counts × seeds, captured at pseudo-random pick
-// boundaries, crossing capture and resume engines (any engine resumes any
-// engine's capture).
+// workloads × modes × worker counts × seeds, each captured at two
+// pseudo-random pick boundaries.
 func TestRoundTripMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("round-trip matrix")
@@ -171,45 +166,25 @@ func TestRoundTripMatrix(t *testing.T) {
 		name := mk().Name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			// Each subtest rotates through the engine pairs on its own
-			// counter, so its coverage does not depend on how the parallel
-			// subtests interleave.
-			tuple := 0
-			crossed := map[[2]core.Engine]bool{}
 			for _, mode := range []core.Mode{core.StackThreads, core.Cilk} {
 				for _, workers := range []int{2, 4} {
 					for _, seed := range seeds {
-						tuple++
-						undisturbed := runEngine(t, mk, mode, workers, seed, core.EngineSequential)
+						undisturbed := runEngine(t, mk, mode, workers, seed)
 						picks := undisturbed.res.Picks
 						if picks < 1 {
 							t.Fatalf("%s: no pick boundaries", name)
 						}
 						rng := rand.New(rand.NewSource(int64(seed)<<8 | int64(wi)))
-						// Rotate engine pairs across tuples so the full
-						// capture×resume cross product is covered without
-						// running all four pairs on every tuple.
-						n := len(rtEngines)
-						capEng := rtEngines[tuple%n]
-						resEng := rtEngines[(tuple/n+tuple)%n]
-						crossed[[2]core.Engine{capEng, resEng}] = true
-						for _, pair := range [][2]core.Engine{
-							{core.EngineSequential, core.EngineSequential},
-							{capEng, resEng},
-						} {
+						for i := 0; i < 2; i++ {
 							pick := 1 + rng.Int63n(picks)
-							ctx := fmt.Sprintf("mode=%v workers=%d seed=%d pick=%d/%d cap=%v",
-								mode, workers, seed, pick, picks, pair[0])
-							enc := captureAt(t, mk, mode, workers, seed, pair[0], pick, obs.New())
-							got := resumeFrom(t, mk, mode, workers, seed, pair[1], enc)
-							diffCompare(t, ctx, pair[1], undisturbed, got)
+							ctx := fmt.Sprintf("mode=%v workers=%d seed=%d pick=%d/%d",
+								mode, workers, seed, pick, picks)
+							enc := captureAt(t, mk, mode, workers, seed, pick, obs.New())
+							got := resumeFrom(t, mk, mode, workers, seed, enc)
+							diffCompare(t, ctx, undisturbed, got)
 						}
 					}
 				}
-			}
-			if want := len(rtEngines) * len(rtEngines); len(crossed) != want {
-				t.Fatalf("%d tuples crossed %d capture×resume engine pairs, want all %d: %v",
-					tuple, len(crossed), want, crossed)
 			}
 		})
 	}
@@ -227,19 +202,17 @@ func TestRoundTripRandprog(t *testing.T) {
 		want := randprog.Expected(root)
 		mk := func() *apps.Workload { return randprog.Workload(root) }
 		workers := 2 + int(seed%3)
-		undisturbed := runEngine(t, mk, core.StackThreads, workers, uint64(seed), core.EngineSequential)
+		undisturbed := runEngine(t, mk, core.StackThreads, workers, uint64(seed))
 		if undisturbed.res.RV != want {
 			t.Fatalf("seed %d: undisturbed acc=%d want %d", seed, undisturbed.res.RV, want)
 		}
 		picks := undisturbed.res.Picks
 		for i := 0; i < 2; i++ {
 			pick := 1 + rng.Int63n(picks)
-			capEng := rtEngines[int(seed+int64(i))%len(rtEngines)]
-			resEng := rtEngines[int(seed+int64(i)+1)%len(rtEngines)]
-			ctx := fmt.Sprintf("randtree seed=%d workers=%d pick=%d/%d cap=%v", seed, workers, pick, picks, capEng)
-			enc := captureAt(t, mk, core.StackThreads, workers, uint64(seed), capEng, pick, obs.New())
-			got := resumeFrom(t, mk, core.StackThreads, workers, uint64(seed), resEng, enc)
-			diffCompare(t, ctx, resEng, undisturbed, got)
+			ctx := fmt.Sprintf("randtree seed=%d workers=%d pick=%d/%d", seed, workers, pick, picks)
+			enc := captureAt(t, mk, core.StackThreads, workers, uint64(seed), pick, obs.New())
+			got := resumeFrom(t, mk, core.StackThreads, workers, uint64(seed), enc)
+			diffCompare(t, ctx, undisturbed, got)
 		}
 	}
 }
@@ -253,7 +226,7 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 	}
 	mk := func() *apps.Workload { return apps.Fib(14, apps.ST) }
 	const mode, workers, seed = core.StackThreads, 4, 3
-	undisturbed := runEngine(t, mk, mode, workers, seed, core.EngineThroughput)
+	undisturbed := runEngine(t, mk, mode, workers, seed)
 
 	// Checkpointing run: the sink serializes each boundary together with the
 	// partial artifacts at that instant, exactly as the server's sink does.
@@ -261,7 +234,7 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 	var events sched.EventLog
 	var out bytes.Buffer
 	collector := obs.New()
-	cfg := rtConfig(mode, workers, seed, core.EngineThroughput, &events, collector, &out)
+	cfg := rtConfig(mode, workers, seed, &events, collector, &out)
 	var stored [][]byte
 	cfg.Checkpoint = &sched.Checkpoint{
 		EveryCycles: undisturbed.res.WorkCycles / 5,
@@ -289,13 +262,12 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 	// The checkpointing run itself must be byte-identical to the undisturbed
 	// one — capture is pure observation.
 	withCkpt := diffRun{res: res, events: events.Sorted(), out: out.Bytes(), obs: obsDump(collector)}
-	diffCompare(t, "checkpointing run", core.EngineThroughput, undisturbed, withCkpt)
+	diffCompare(t, "checkpointing run", undisturbed, withCkpt)
 	if len(stored) < 2 {
 		t.Fatalf("expected several periodic checkpoints, got %d", len(stored))
 	}
 	for i, enc := range stored {
-		got := resumeFrom(t, mk, mode, workers, seed, rtEngines[i%len(rtEngines)], enc)
-		diffCompare(t, fmt.Sprintf("resume from checkpoint %d/%d", i+1, len(stored)),
-			rtEngines[i%len(rtEngines)], undisturbed, got)
+		got := resumeFrom(t, mk, mode, workers, seed, enc)
+		diffCompare(t, fmt.Sprintf("resume from checkpoint %d/%d", i+1, len(stored)), undisturbed, got)
 	}
 }

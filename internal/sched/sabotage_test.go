@@ -21,7 +21,7 @@ import (
 
 // sabotageRun drives a workload with the auditor at cadence 1 and the
 // given sabotage hook installed, returning the run error.
-func sabotageRun(t *testing.T, engine Engine, hook func(s *scheduler)) error {
+func sabotageRun(t *testing.T, hook func(s *scheduler)) error {
 	t.Helper()
 	w := apps.Fib(16, apps.ST)
 	prog, err := w.Compile()
@@ -36,46 +36,43 @@ func sabotageRun(t *testing.T, engine Engine, hook func(s *scheduler)) error {
 	testHookSabotage = hook
 	defer func() { testHookSabotage = nil }()
 	_, err = Run(m, w.Entry, w.Args, Config{
-		Mode: ModeST, Seed: 1, Engine: engine, HostProcs: 4,
-		Audit: invariant.New(1),
+		Mode: ModeST, Seed: 1, Audit: invariant.New(1),
 	})
 	return err
 }
 
 // TestAuditorCatchesSabotagedMachine plants a frame in a worker's exported
 // set that the max-E protocol never published. The §3.2 audit at the same
-// pick must return a typed section-3.2 violation on both engines.
+// pick must return a typed section-3.2 violation.
 func TestAuditorCatchesSabotagedMachine(t *testing.T) {
-	for _, engine := range []Engine{EngineSequential, EngineThroughput} {
-		armed := false
-		err := sabotageRun(t, engine, func(s *scheduler) {
-			if armed {
-				return
-			}
-			w0 := s.m.Workers[0]
-			// Only corrupt when the audit will actually examine worker 0
-			// this pick, so the phantom frame is caught before any
-			// simulated instruction can run over it.
-			if w0.AtFrameTransition() {
-				return
-			}
-			lo := w0.Stack().Lo
-			w0.Exported().Push(exportset.Entry{FP: lo + 6, Low: lo + 2})
-			armed = true
-		})
-		if !armed {
-			t.Fatalf("engine=%v: sabotage hook never fired", engine)
+	armed := false
+	err := sabotageRun(t, func(s *scheduler) {
+		if armed {
+			return
 		}
-		var v *invariant.Violation
-		if !errors.As(err, &v) {
-			t.Fatalf("engine=%v: sabotaged machine not caught: %v", engine, err)
+		w0 := s.m.Workers[0]
+		// Only corrupt when the audit will actually examine worker 0 this
+		// pick, so the phantom frame is caught before any simulated
+		// instruction can run over it.
+		if w0.AtFrameTransition() {
+			return
 		}
-		if v.Rule != "section-3.2" {
-			t.Fatalf("engine=%v: wrong rule %q: %v", engine, v.Rule, v)
-		}
-		if v.Dump == "" {
-			t.Fatalf("engine=%v: violation carries no machine-state dump", engine)
-		}
+		lo := w0.Stack().Lo
+		w0.Exported().Push(exportset.Entry{FP: lo + 6, Low: lo + 2})
+		armed = true
+	})
+	if !armed {
+		t.Fatal("sabotage hook never fired")
+	}
+	var v *invariant.Violation
+	if !errors.As(err, &v) {
+		t.Fatalf("sabotaged machine not caught: %v", err)
+	}
+	if v.Rule != "section-3.2" {
+		t.Fatalf("wrong rule %q: %v", v.Rule, v)
+	}
+	if v.Dump == "" {
+		t.Fatal("violation carries no machine-state dump")
 	}
 }
 
@@ -84,7 +81,7 @@ func TestAuditorCatchesSabotagedMachine(t *testing.T) {
 // migration protocol. The scheduler-conservation audit must catch it.
 func TestAuditorCatchesSabotagedScheduler(t *testing.T) {
 	dropped := false
-	err := sabotageRun(t, EngineSequential, func(s *scheduler) {
+	err := sabotageRun(t, func(s *scheduler) {
 		if dropped {
 			return
 		}

@@ -42,8 +42,8 @@ var ErrCycleBudget = errors.New("work-cycle budget exceeded")
 type CycleBudgetError struct {
 	// Budget is the configured limit; Used is the total work across all
 	// workers at the abort check. The check runs at pick boundaries, so
-	// Used overshoots Budget by at most one quantum per worker — and by
-	// the same amount on every engine, keeping the error deterministic.
+	// Used overshoots Budget by at most one quantum per worker — by the
+	// same amount on every replay, keeping the error deterministic.
 	Budget, Used int64
 }
 
@@ -86,28 +86,15 @@ const (
 	StealYoungest
 )
 
-// Engine selects the host execution strategy. Every engine produces
-// byte-identical results for the same configuration and seed; see
-// engine_throughput.go for the argument.
+// Engine names the host execution strategy. It has one value,
+// EngineSequential: the scheduler steps the least-advanced worker on the
+// calling goroutine. The type and Config.Engine remain only because
+// perfbench/trace.go, which mirrors core's scheduler configuration, sets
+// Engine: EngineSequential.
 type Engine int
 
-// Host execution strategies.
-const (
-	// EngineSequential steps the least-advanced worker on the calling
-	// goroutine — the reference engine and differential oracle.
-	EngineSequential Engine = iota
-	// EngineThroughput speculates multi-quantum chains per virtual worker,
-	// distributed over per-host-core work-stealing deques, and adopts them
-	// segment by segment in the oracle's pick order.
-	EngineThroughput
-)
-
-func (e Engine) String() string {
-	if e == EngineThroughput {
-		return "throughput"
-	}
-	return "sequential"
-}
+// EngineSequential is the only engine.
+const EngineSequential Engine = 0
 
 // Config tunes the scheduler.
 type Config struct {
@@ -124,17 +111,15 @@ type Config struct {
 	// cycle counters) the run may consume; exceeding it aborts with a
 	// *CycleBudgetError. Unlike MaxCycles — a backstop on virtual elapsed
 	// time — this is the serving layer's per-job budget, checked at every
-	// pick so both engines abort at the same deterministic point.
+	// pick so the run aborts at the same deterministic point.
 	MaxWorkCycles int64
 	// Stop, when non-nil, is polled at every scheduler pick; a non-nil
 	// return aborts the run with that error wrapped. core threads context
 	// cancellation and deadlines through it.
 	Stop func() error
-	// Engine selects the host execution strategy (default sequential).
+	// Engine names the host execution strategy; EngineSequential, the zero
+	// value, is the only one.
 	Engine Engine
-	// HostProcs caps the host goroutines the throughput engine speculates
-	// on (default runtime.GOMAXPROCS(0)).
-	HostProcs int
 	// Events, when non-nil, collects the run's migration-level history.
 	Events *EventLog
 	// Obs, when non-nil, receives cycle-phase attribution for scheduler
@@ -142,16 +127,15 @@ type Config struct {
 	// stream. It must be the same collector given to the machine.
 	Obs *obs.Collector
 	// Fault, when non-nil, injects deterministic scheduling faults (steal
-	// drops/delays, spurious suspend/restart pairs, worker stalls, forced
-	// speculation aborts) from its plan. Virtual faults are part of the
-	// run's input: the same (tuple, plan, seed) produces byte-identical
-	// results on both engines. Nil costs one pointer check per hook.
+	// drops/delays, spurious suspend/restart pairs, worker stalls) from its
+	// plan. Virtual faults are part of the run's input: the same (tuple,
+	// plan, seed) produces byte-identical results. Nil costs one pointer
+	// check per hook.
 	Fault *fault.Injector
 	// Audit, when non-nil, runs the live invariant auditor at scheduler
-	// pick boundaries (both engines visit picks in the same order and are
-	// quiescent there). A violation aborts the run with the typed
-	// *invariant.Violation. Auditing charges no cycles: the run's bytes
-	// are identical with or without it.
+	// pick boundaries (the machine is quiescent there). A violation aborts
+	// the run with the typed *invariant.Violation. Auditing charges no
+	// cycles: the run's bytes are identical with or without it.
 	Audit *invariant.Auditor
 	// Progress, when non-nil, receives a live host-visible view of the
 	// run's advancement (total work cycles, picks), stored at every pick
@@ -159,9 +143,8 @@ type Config struct {
 	// (/debug/jobs) and never influences the run: stores only, and a nil
 	// pointer disables them entirely.
 	Progress *obs.Progress
-	// Contention, when non-nil, receives host-side engine contention
-	// counts (speculation commits/reruns/discards). Host-timing-dependent
-	// — never part of any deterministic artifact.
+	// Contention, when non-nil, receives host-side execution counts (the
+	// batched-tier residency). Never part of any deterministic artifact.
 	Contention *Contention
 	// Checkpoint, when non-nil, enables pick-boundary continuation capture:
 	// periodic Sink invocations and cooperative yields (see checkpoint.go).
@@ -182,7 +165,7 @@ type Result struct {
 	Rejects    int64
 	// Picks is the total number of pick boundaries the run passed through —
 	// the length of the pick-boundary clock that Checkpoint.YieldAtPick
-	// addresses. Engine-invariant, and a resumed run continues the count.
+	// addresses. A resumed run continues the count.
 	Picks int64
 	Stats []machine.Stats
 }
@@ -253,14 +236,9 @@ func newScheduler(m *machine.Machine, cfg Config) (*scheduler, error) {
 	return s, nil
 }
 
-// execute runs the configured engine loop to completion and assembles the
-// result.
+// execute runs the scheduler loop to completion and assembles the result.
 func (s *scheduler) execute() (*Result, error) {
-	loop := s.loop
-	if s.cfg.Engine == EngineThroughput {
-		loop = s.loopThroughput
-	}
-	err := s.protected(loop)
+	err := s.protected(s.loop)
 	if err != nil {
 		return nil, err
 	}
@@ -269,8 +247,8 @@ func (s *scheduler) execute() (*Result, error) {
 		s.res.Stats = append(s.res.Stats, w.Stats)
 		if cont := s.cfg.Contention; cont != nil {
 			// The host-side tier diagnostic rides the contention channel:
-			// it is timing-dependent (which speculated segments run depends
-			// on the engine's interleaving) and must never enter Result.
+			// it depends on the interpreter tier, not on the program, and
+			// must never enter Result.
 			cont.BatchedCycles.Add(w.BatchedCycles())
 		}
 	}
@@ -330,9 +308,9 @@ func (s *scheduler) protected(fn func() error) (err error) {
 }
 
 // checkAbort enforces the run limits at a pick boundary: the MaxCycles
-// backstop, the MaxWorkCycles budget, and the cooperative Stop hook. Both
-// engines call it with the picked worker, in the same pick sequence, so
-// limit aborts are deterministic across engines.
+// backstop, the MaxWorkCycles budget, and the cooperative Stop hook. The
+// loop calls it with the picked worker at every pick, so limit aborts are
+// deterministic.
 func (s *scheduler) checkAbort(w *machine.Worker) error {
 	s.picks++
 	if w.Cycles > s.cfg.MaxCycles {
@@ -418,9 +396,9 @@ func (s *scheduler) auditSched() error {
 
 // injectVirtual runs the virtual-fault sites for the picked running
 // worker. It reports true when the pick was consumed by a fault (the
-// worker stalled) and the scheduler must re-pick. Both engines call it
-// once per running-worker pick, in the same pick order, so the fault
-// streams — and therefore the faulted schedule — are engine-independent.
+// worker stalled) and the scheduler must re-pick. The loop calls it once
+// per running-worker pick, in pick order, so the fault streams — and
+// therefore the faulted schedule — are deterministic.
 func (s *scheduler) injectVirtual(i int) bool {
 	f := s.cfg.Fault
 	if f == nil {

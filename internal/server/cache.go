@@ -7,9 +7,7 @@ import (
 
 // resultCache is the deterministic result cache. Runs are pure functions of
 // the canonical job tuple, so a completed JobOutput can be replayed,
-// byte-identical, for any later request with the same key — including
-// requests naming a different engine, by the engine-equivalence guarantee.
-// Entries are bounded by least-recently-used eviction; a Get refreshes
+// byte-identical, for any later request with the same key. Entries are bounded by least-recently-used eviction; a Get refreshes
 // recency.
 type resultCache struct {
 	mu    sync.Mutex

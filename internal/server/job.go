@@ -41,12 +41,10 @@ type JobRequest struct {
 	FaultPlan string `json:"fault_plan,omitempty"`
 
 	// Serving directives.
-	Engine    string `json:"engine,omitempty"` // sequential | throughput (identical bytes)
-	HostProcs int    `json:"hostprocs,omitempty"`
-	Priority  int    `json:"priority,omitempty"` // higher dispatches first; FIFO within a class
-	TimeoutMs int64  `json:"timeout_ms,omitempty"`
-	NoCache   bool   `json:"no_cache,omitempty"`
-	Wait      bool   `json:"wait,omitempty"` // POST blocks until the job is terminal
+	Priority  int   `json:"priority,omitempty"` // higher dispatches first; FIFO within a class
+	TimeoutMs int64 `json:"timeout_ms,omitempty"`
+	NoCache   bool  `json:"no_cache,omitempty"`
+	Wait      bool  `json:"wait,omitempty"` // POST blocks until the job is terminal
 	// Audit, when positive, runs the §3.2 invariant auditor every Audit
 	// scheduler picks. Auditing changes no output byte (a violation fails
 	// the job instead), so it is not part of the canonical tuple.
@@ -78,9 +76,6 @@ func (r *JobRequest) normalize() error {
 	if isa.CostModelByName(r.CPU) == nil {
 		return fmt.Errorf("unknown cpu %q", r.CPU)
 	}
-	if _, err := core.ParseEngine(r.Engine); err != nil {
-		return err
-	}
 	plan, err := fault.ParsePlan(r.FaultPlan)
 	if err != nil {
 		return err
@@ -103,12 +98,9 @@ func (r *JobRequest) normalize() error {
 }
 
 // Key is the canonical cache key: exactly the fields that determine the
-// run's bytes, in a fixed order. The engine is deliberately absent — every
-// engine (sequential, throughput) produces byte-identical output
-// for the same tuple, so a result computed by any serves requests for all.
-// The fault plan is present:
-// virtual faults deterministically reshape the schedule. The audit cadence
-// is absent: auditing never changes a byte.
+// run's bytes, in a fixed order. The fault plan is present: virtual faults
+// deterministically reshape the schedule. The audit cadence is absent:
+// auditing never changes a byte.
 func (r *JobRequest) Key() string {
 	return fmt.Sprintf("app=%s|full=%t|mode=%s|workers=%d|cpu=%s|seed=%d|quantum=%d|ysteal=%t|budget=%d|fault=%s",
 		r.App, r.Full, r.Mode, r.Workers, r.CPU, r.Seed, r.Quantum, r.StealYoungest, r.MaxWorkCycles, r.FaultPlan)
@@ -160,8 +152,8 @@ func (r *JobRequest) workload() (*apps.Workload, error) {
 
 // JobOutput is the deterministic product of one execution: the run result
 // plus the observability artifacts. Every field is byte-identical for a
-// given canonical tuple, regardless of engine, host parallelism, or whether
-// it was computed fresh or replayed from the cache.
+// given canonical tuple, regardless of host parallelism or whether it was
+// computed fresh or replayed from the cache.
 type JobOutput struct {
 	Result  *core.Result
 	Metrics json.RawMessage
@@ -178,8 +170,8 @@ type ExecOpts struct {
 	// Progress, when non-nil, receives the run's live advancement (work
 	// cycles, picks) at scheduler pick boundaries.
 	Progress *obs.Progress
-	// Contention, when non-nil, accumulates throughput-engine speculation
-	// counters (epochs, commits, reruns, discards, host steals).
+	// Contention, when non-nil, accumulates host-side execution counters
+	// (batched-tier residency).
 	Contention *sched.Contention
 
 	// Checkpoints, when non-nil, persists the run's continuation every
@@ -225,8 +217,8 @@ func (e *SuspendedError) Error() string {
 }
 
 // Execute runs one job to completion on the calling goroutine. It is a pure
-// function of the request's canonical tuple: ctx and the engine choice
-// decide whether it finishes, never the bytes it produces. Every run
+// function of the request's canonical tuple: ctx decides whether it
+// finishes, never the bytes it produces. Every run
 // carries an obs collector so the cached artifacts are complete. A
 // FaultPlan is part of the tuple (virtual faults deterministically reshape
 // the schedule); the audit cadence is not (a violation fails the job, a
@@ -239,10 +231,6 @@ func Execute(ctx context.Context, req JobRequest) (*JobOutput, error) {
 // plumbing attached.
 func ExecuteOpts(ctx context.Context, req JobRequest, opts ExecOpts) (*JobOutput, error) {
 	w, err := req.workload()
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.ParseEngine(req.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -272,8 +260,6 @@ func ExecuteOpts(ctx context.Context, req JobRequest, opts ExecOpts) (*JobOutput
 		Seed:          req.Seed,
 		Quantum:       req.Quantum,
 		StealYoungest: req.StealYoungest,
-		Engine:        eng,
-		HostProcs:     req.HostProcs,
 		MaxWorkCycles: req.MaxWorkCycles,
 		Ctx:           ctx,
 		Obs:           col,

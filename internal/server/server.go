@@ -4,8 +4,8 @@
 // deterministic observability artifacts (metrics snapshot, phase report,
 // Chrome trace).
 //
-// The serving stack exploits the property the execution engines guarantee:
-// a run is a pure function of its canonical tuple (app, scale, mode,
+// The serving stack exploits the property the scheduler guarantees: a run
+// is a pure function of its canonical tuple (app, scale, mode,
 // workers, cpu, seed, quantum, policy, budget), so results are perfectly
 // cacheable and a cache hit is indistinguishable — byte for byte — from a
 // fresh execution. Around that sit the classic serving shapes:
@@ -85,12 +85,6 @@ type Config struct {
 	// HostProcs is the executor pool size — how many jobs run concurrently
 	// across host cores (default hostpar.Procs(0), i.e. GOMAXPROCS).
 	HostProcs int
-	// DefaultEngine, when non-empty, is the execution engine applied to
-	// jobs that leave the request's engine unset ("sequential" or
-	// "throughput"). Empty keeps the process default (ST_ENGINE, then
-	// sequential). Engines are result-equivalent, so this only shifts host
-	// wall-clock, never a job's bytes or its cache key.
-	DefaultEngine string
 	// CacheEntries bounds the result cache's LRU (default 256; negative
 	// disables caching).
 	CacheEntries int
@@ -172,7 +166,7 @@ type Server struct {
 	met     *serverMetrics
 	breaker *breaker
 	host    *obs.HostRecorder // nil-safe: nil when Config.HostSpans is nil
-	cont    *sched.Contention // server-wide engine contention counters
+	cont    *sched.Contention // server-wide host-side execution counters
 	log     *slog.Logger      // nil disables
 
 	mu        sync.Mutex
@@ -263,9 +257,6 @@ func (s *Server) SubmitTrace(req JobRequest, traceID string) (*Job, error) {
 // submit is the shared admission path; resume, when non-nil, is an encoded
 // continuation the job adopts instead of starting fresh.
 func (s *Server) submit(req JobRequest, traceID string, resume []byte) (*Job, error) {
-	if req.Engine == "" {
-		req.Engine = s.cfg.DefaultEngine
-	}
 	if err := (&req).normalize(); err != nil {
 		return nil, err
 	}
@@ -358,7 +349,7 @@ func (s *Server) Job(id string) (*Job, error) {
 
 // Cancel cancels a job: a queued job transitions to canceled immediately
 // (it will be skipped at dispatch); a running job's context is canceled and
-// the engines abort at their next pick. Terminal jobs are left untouched.
+// the scheduler aborts at its next pick. Terminal jobs are left untouched.
 func (s *Server) Cancel(id string) (*Job, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -698,23 +689,14 @@ func (s *Server) Metrics() *serverMetrics { return s.met }
 // server was configured without one).
 func (s *Server) HostSpans() *obs.HostRecorder { return s.host }
 
-// syncObsMetrics folds the pull-style host counters — engine contention,
-// interpreter-tier residency and span-ring overwrites — into the metrics
+// syncObsMetrics folds the pull-style host counters — interpreter-tier
+// residency and span-ring overwrites — into the metrics
 // registry as gauges, so one scrape (JSON or Prometheus) sees them
 // alongside the push-style serving counters.
 // Called on each metrics/debug read; the sources are atomics, so this is a
 // cheap point-in-time copy.
 func (s *Server) syncObsMetrics() {
 	cs := s.cont.Snapshot()
-	s.met.Set("spec_serial_fallbacks", cs.SerialFallbacks)
-	s.met.Set("chain_epochs", cs.ChainEpochs)
-	s.met.Set("chains_launched", cs.ChainsLaunched)
-	s.met.Set("chain_segments", cs.ChainSegments)
-	s.met.Set("chain_commits", cs.ChainCommits)
-	s.met.Set("chain_reruns", cs.ChainReruns)
-	s.met.Set("chain_discards", cs.ChainDiscards)
-	s.met.Set("host_steals", cs.HostSteals)
-	s.met.Set("host_steal_attempts", cs.HostStealAttempts)
 	s.met.Set("tier_batched_vcycles", cs.BatchedCycles)
 	if s.host != nil {
 		s.met.Set("host_spans_dropped", s.host.Overwritten())
@@ -776,7 +758,7 @@ type DebugView struct {
 
 // DebugSnapshot captures the live serving state: every non-terminal job with
 // its current phase and progress, queue depth, breaker state, and the
-// engine-contention counters.
+// host-side execution counters.
 func (s *Server) DebugSnapshot() DebugView {
 	s.syncObsMetrics()
 	now := time.Now()

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -93,7 +92,6 @@ func TestSubmitValidation(t *testing.T) {
 		{App: "no-such-benchmark"},
 		{App: "fib", Mode: "warp"},
 		{App: "fib", CPU: "z80"},
-		{App: "fib", Engine: "quantum"},
 	} {
 		if _, err := s.Submit(req); err == nil {
 			t.Fatalf("bad request %+v accepted", req)
@@ -101,20 +99,28 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestRemovedEngineRejected pins the removed parallel engine as an ordinary
-// unknown engine at the wire: a request naming it (or its short alias) gets
-// a 400 whose message lists the engines that remain, and is never enqueued.
+// removedEngineBodies are request bodies naming the removed engine
+// selection fields. The wire no longer has an engine or hostprocs field, so
+// each must be rejected as an unknown field, whatever value it carries.
+var removedEngineBodies = map[string]string{
+	`{"app":"fib","wait":true,"engine":"par"}`:        "engine",
+	`{"app":"fib","wait":true,"engine":"parallel"}`:   "engine",
+	`{"app":"fib","wait":true,"engine":"throughput"}`: "engine",
+	`{"app":"fib","wait":true,"engine":"sequential"}`: "engine",
+	`{"app":"fib","wait":true,"hostprocs":4}`:         "hostprocs",
+}
+
+// TestRemovedEngineRejected pins the removed engine selection at the wire:
+// a body naming `engine` (any value, including the names of engines that
+// no longer exist) or `hostprocs` gets a 400 naming the unknown field, and
+// is never enqueued.
 func TestRemovedEngineRejected(t *testing.T) {
 	s := New(Config{QueueBound: 8, HostProcs: 1, CacheEntries: -1})
 	defer s.Drain()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for _, name := range []string{`par`, `parallel`} {
-		body, err := json.Marshal(JobRequest{App: "fib", Engine: name, Wait: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	for body, field := range removedEngineBodies {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,10 +131,10 @@ func TestRemovedEngineRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("engine %q: status = %d, want 400", name, resp.StatusCode)
+			t.Fatalf("%s: status = %d, want 400", body, resp.StatusCode)
 		}
-		if !strings.Contains(ev.Error, "valid engines: sequential, throughput)") {
-			t.Fatalf("engine %q: error %q does not list the remaining engines", name, ev.Error)
+		if want := `unknown field "` + field + `"`; !strings.Contains(ev.Error, want) {
+			t.Fatalf("%s: error %q does not name %s", body, ev.Error, want)
 		}
 	}
 	if st := s.Stats(); st.Accepted != 0 {

@@ -407,7 +407,7 @@ func TestPrometheusEndpointLints(t *testing.T) {
 	if err := obs.CheckExposition(bytes.NewReader(body)); err != nil {
 		t.Fatalf("exposition lint: %v\n%s", err, body)
 	}
-	for _, want := range []string{"st_jobs_accepted_total", "st_queue_wait_us_bucket", "st_chain_epochs"} {
+	for _, want := range []string{"st_jobs_accepted_total", "st_queue_wait_us_bucket", "st_tier_batched_vcycles"} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Fatalf("exposition missing %q:\n%s", want, body)
 		}
@@ -416,7 +416,7 @@ func TestPrometheusEndpointLints(t *testing.T) {
 
 // TestServedJobRunsOnBatchedTier: served jobs always carry an obs
 // collector, and that must not send them to the per-instruction reference
-// tier. A single-worker fib job on the sequential engine reports a nonzero
+// tier. A single-worker fib job reports a nonzero
 // batched-tier share of its work cycles in the contention snapshot, the
 // metrics JSON and the Prometheus exposition.
 func TestServedJobRunsOnBatchedTier(t *testing.T) {
@@ -425,7 +425,7 @@ func TestServedJobRunsOnBatchedTier(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	v, _ := postJob(t, ts, "", JobRequest{App: "fib", Workers: 1, Seed: 1, Engine: "sequential", Wait: true})
+	v, _ := postJob(t, ts, "", JobRequest{App: "fib", Workers: 1, Seed: 1, Wait: true})
 	if v.State != StateDone || v.Result == nil {
 		t.Fatalf("job state %q (%s)", v.State, v.Error)
 	}
@@ -469,7 +469,7 @@ func TestServedJobRunsOnBatchedTier(t *testing.T) {
 // recorder + structured logging) and on a bare one yields byte-identical
 // deterministic artifacts.
 func TestTracingDoesNotPerturbArtifacts(t *testing.T) {
-	req := JobRequest{App: "fib", Workers: 4, Seed: 7, Engine: "throughput"}
+	req := JobRequest{App: "fib", Workers: 4, Seed: 7}
 
 	run := func(cfg Config) *JobOutput {
 		t.Helper()
