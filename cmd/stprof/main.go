@@ -1,14 +1,17 @@
 // Command stprof runs one benchmark with the observability layer attached
 // and prints a profile of where the virtual cycles went: the phase breakdown
 // of the paper's cost decomposition (Section 8), the sampling profiler's top
-// table, and the per-worker utilization report. It can also export the
-// metrics registry as JSON and the event stream as a Chrome trace loadable
-// in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// table, and the per-worker utilization report. -timeline adds the
+// migration-level event timeline (steal requests, steals, rejects,
+// ready-queue resumes, idle transitions and the halt, then a count per kind).
+// It can also export the metrics registry as JSON and the event stream as a
+// Chrome trace loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 // Usage:
 //
 //	stprof -app fib -workers 4
 //	stprof -app cilksort -mode cilk -workers 8 -top 5
+//	stprof -app fib -workers 4 -timeline
 //	stprof -app fib -workers 4 -chrome trace.json -metrics metrics.json
 //	stprof -app fib -workers 4 -prom metrics.prom
 package main
@@ -26,16 +29,17 @@ import (
 
 func main() {
 	var (
-		app     = flag.String("app", "fib", "benchmark name")
-		mode    = flag.String("mode", "st", "execution mode: seq, st, cilk")
-		workers = flag.Int("workers", 4, "worker (virtual CPU) count")
-		seed    = flag.Uint64("seed", 1, "scheduler seed")
-		full    = flag.Bool("full", false, "paper-scale input")
-		sample  = flag.Int64("sample", obs.DefaultSamplePeriod, "profiler sample period in virtual cycles")
-		top     = flag.Int("top", 10, "rows in the profile top table (0 = all)")
-		chrome  = flag.String("chrome", "", "write Chrome trace_event JSON to this file")
-		metrics = flag.String("metrics", "", "write the metrics registry snapshot to this file")
-		prom    = flag.String("prom", "", "write the metrics registry in Prometheus text exposition format to this file")
+		app      = flag.String("app", "fib", "benchmark name")
+		mode     = flag.String("mode", "st", "execution mode: seq, st, cilk")
+		workers  = flag.Int("workers", 4, "worker (virtual CPU) count")
+		seed     = flag.Uint64("seed", 1, "scheduler seed")
+		full     = flag.Bool("full", false, "paper-scale input")
+		sample   = flag.Int64("sample", obs.DefaultSamplePeriod, "profiler sample period in virtual cycles")
+		top      = flag.Int("top", 10, "rows in the profile top table (0 = all)")
+		timeline = flag.Bool("timeline", false, "print the migration event timeline and per-kind counts")
+		chrome   = flag.String("chrome", "", "write Chrome trace_event JSON to this file")
+		metrics  = flag.String("metrics", "", "write the metrics registry snapshot to this file")
+		prom     = flag.String("prom", "", "write the metrics registry in Prometheus text exposition format to this file")
 	)
 	flag.Parse()
 
@@ -76,6 +80,10 @@ func main() {
 	c.WriteReport(os.Stdout)
 	fmt.Println()
 	c.WriteTop(os.Stdout, *top)
+	if *timeline {
+		fmt.Println()
+		c.WriteTimeline(os.Stdout)
+	}
 
 	if *metrics != "" {
 		b, err := c.Metrics.MarshalJSON()

@@ -89,9 +89,6 @@ type Config struct {
 	// SegmentedStacks enables the Section 5.1 multi-stack scheme (see
 	// machine.Options.SegmentedStacks).
 	SegmentedStacks bool
-	// Events, when non-nil, collects the run's migration-level history
-	// (parallel modes only).
-	Events *sched.EventLog
 	// Obs, when non-nil, attaches the observability layer (internal/obs):
 	// per-phase cycle attribution, the metrics registry, the sampling
 	// profiler and the Chrome-trace event stream. Collection charges no
@@ -248,7 +245,6 @@ func (cfg *Config) schedConfig() sched.Config {
 		Quantum:       cfg.Quantum,
 		MaxWorkCycles: cfg.MaxWorkCycles,
 		Stop:          ctxStop(cfg.Ctx),
-		Events:        cfg.Events,
 		Obs:           cfg.Obs,
 		Fault:         cfg.Fault,
 		Audit:         cfg.Audit,
@@ -367,8 +363,8 @@ func (res *Result) fromSched(sres *sched.Result) {
 // workers, cpu, seed, quantum, policy, budget, fault plan — because the
 // machine is reconstructed from it before the captured state is installed.
 // For byte-identical final artifacts the caller
-// pre-seeds cfg.Obs (obs.Collector.ImportState), cfg.Events and cfg.Out
-// with the partial state captured alongside the boundary, and imports the
+// pre-seeds cfg.Obs (obs.Collector.ImportState) and cfg.Out with the
+// partial state captured alongside the boundary, and imports the
 // boundary's fault-injector state into cfg.Fault.
 func Resume(w *apps.Workload, cfg Config, b *sched.Boundary) (*Result, error) {
 	prog, err := w.Compile()

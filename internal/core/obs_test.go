@@ -8,7 +8,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 // Pinned pre-instrumentation results (captured at the seed commit, before
@@ -106,7 +105,7 @@ func TestObsPhaseSumsToWorkCycles(t *testing.T) {
 
 // obsSnapshot serializes everything the observability layer produced for a
 // run into one byte blob for determinism comparison.
-func obsSnapshot(t *testing.T, c *obs.Collector, log *sched.EventLog) []byte {
+func obsSnapshot(t *testing.T, c *obs.Collector) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	mj, err := c.Metrics.MarshalJSON()
@@ -122,26 +121,25 @@ func obsSnapshot(t *testing.T, c *obs.Collector, log *sched.EventLog) []byte {
 	totals := c.PhaseTotals()
 	b, _ := json.Marshal(totals)
 	buf.Write(b)
-	log.Dump(&buf)
+	c.WriteTimeline(&buf)
 	return buf.Bytes()
 }
 
 // TestObsDeterministicPerSeed extends the same-seed→same-cycles guarantee
 // to the whole observability layer: two runs with equal Seed must produce
 // byte-identical metrics snapshots, Chrome traces, reports, profiles and
-// event logs.
+// migration timelines.
 func TestObsDeterministicPerSeed(t *testing.T) {
 	run := func() []byte {
 		c := obs.New()
-		log := &sched.EventLog{}
 		w := apps.Cilksort(256, apps.ST, 7)
 		_, err := core.Run(w, core.Config{
-			Mode: core.StackThreads, Workers: 8, Seed: 7, Obs: c, Events: log,
+			Mode: core.StackThreads, Workers: 8, Seed: 7, Obs: c,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return obsSnapshot(t, c, log)
+		return obsSnapshot(t, c)
 	}
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {

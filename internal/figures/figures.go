@@ -119,6 +119,10 @@ func builder(name string, sc Scale, v apps.Variant) (func() *apps.Workload, erro
 		return func() *apps.Workload { return apps.Blockedmul(pick(sizes{12, 96}), v, 22) }, nil
 	case "magic":
 		return func() *apps.Workload { return apps.Magic(v, 34) }, nil
+	case "pingpong":
+		// The suspension kernel, not a figure benchmark; the full scale is
+		// deliberately long-running (the serving tests' cancellation target).
+		return func() *apps.Workload { return apps.PingPong(pick(sizes{100, 1_000_000}), v) }, nil
 	}
 	return nil, fmt.Errorf("figures: unknown benchmark %q", name)
 }

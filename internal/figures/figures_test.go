@@ -95,14 +95,18 @@ func TestWorkloadCatalog(t *testing.T) {
 }
 
 // TestCheckNameMatchesWorkload: CheckName accepts exactly the names
-// Workload builds and rejects the rest with Workload's own error.
+// Workload builds — the figure benchmarks plus the pingpong kernel — and
+// rejects the rest with Workload's own error.
 func TestCheckNameMatchesWorkload(t *testing.T) {
-	for _, name := range figures.BenchNames {
+	for _, name := range append([]string{"pingpong"}, figures.BenchNames...) {
 		if err := figures.CheckName(name); err != nil {
 			t.Errorf("CheckName(%q) = %v", name, err)
 		}
+		if _, err := figures.Workload(name, figures.Quick, apps.ST); err != nil {
+			t.Errorf("Workload(%q) = %v", name, err)
+		}
 	}
-	for _, name := range []string{"nope", "", "FIB", "pingpong"} {
+	for _, name := range []string{"nope", "", "FIB", "PingPong"} {
 		_, werr := figures.Workload(name, figures.Quick, apps.ST)
 		cerr := figures.CheckName(name)
 		if werr == nil || cerr == nil || werr.Error() != cerr.Error() {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -111,51 +110,6 @@ func TestMapInlineWhenSerial(t *testing.T) {
 					tc.n, tc.procs, i, got, i)
 			}
 		}
-	}
-}
-
-func TestPoolRunsEverything(t *testing.T) {
-	p := NewPool(3)
-	if p.Procs() != 3 {
-		t.Fatalf("Procs() = %d, want 3", p.Procs())
-	}
-	var done atomic.Int64
-	var cur, peak atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 50; i++ {
-		wg.Add(1)
-		p.Submit(func() {
-			defer wg.Done()
-			c := cur.Add(1)
-			for {
-				pk := peak.Load()
-				if c <= pk || peak.CompareAndSwap(pk, c) {
-					break
-				}
-			}
-			done.Add(1)
-			cur.Add(-1)
-		})
-	}
-	wg.Wait()
-	p.Close()
-	if done.Load() != 50 {
-		t.Fatalf("ran %d tasks, want 50", done.Load())
-	}
-	if pk := peak.Load(); pk > 3 {
-		t.Fatalf("peak concurrency %d exceeds pool size 3", pk)
-	}
-}
-
-func TestPoolCloseWaits(t *testing.T) {
-	p := NewPool(2)
-	var done atomic.Int64
-	for i := 0; i < 8; i++ {
-		p.Submit(func() { done.Add(1) })
-	}
-	p.Close() // must not return before every submitted task ran
-	if done.Load() != 8 {
-		t.Fatalf("Close returned with %d of 8 tasks done", done.Load())
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/invariant"
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 // chaosSeeds returns the fault seeds the chaos matrix sweeps. PR CI runs a
@@ -49,18 +48,18 @@ func runFaulted(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers 
 	seed uint64, plan *fault.Plan, collector *obs.Collector) diffRun {
 	t.Helper()
 	w := mk()
-	var events sched.EventLog
 	var out bytes.Buffer
-	cfg := rtConfig(mode, workers, seed, &events, collector, &out)
+	cfg := rtConfig(mode, workers, seed, collector, &out)
 	cfg.Fault = fault.New(plan)
 	res, err := core.Run(w, cfg)
 	if err != nil {
 		t.Fatalf("%s mode=%v workers=%d seed=%d plan=%v obs=%t: %v",
 			w.Name, mode, workers, seed, plan, collector != nil, err)
 	}
-	r := diffRun{res: res, events: events.Sorted(), out: out.Bytes()}
+	r := diffRun{res: res, out: out.Bytes()}
 	if collector != nil {
 		r.obs = obsDump(collector)
+		r.timeline = timelineDump(collector)
 	}
 	return r
 }
@@ -68,11 +67,12 @@ func runFaulted(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers 
 // TestChaosDifferential is the capstone determinism claim for injected
 // faults: a virtual fault plan is part of the run's input, so for every
 // (workload, mode, plan, seed) the run with observability attached and the
-// obs-free run must produce byte-identical Result, program output and
-// event log — with the §3.2 auditor running and reporting no violation,
-// and the workload's own Verify accepting the output. Runs are bounded by the
-// scheduler's MaxCycles backstop and the per-test watchdog, so a faulted
-// run can never hang silently.
+// obs-free run must produce byte-identical Result and program output, and
+// the runs sampled every 521 and every 97 cycles byte-identical Result,
+// output and migration timeline — with the §3.2 auditor running and
+// reporting no violation, and the workload's own Verify accepting the
+// output. Runs are bounded by the scheduler's MaxCycles backstop and the
+// per-test watchdog, so a faulted run can never hang silently.
 func TestChaosDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix")
@@ -99,8 +99,14 @@ func TestChaosDifferential(t *testing.T) {
 						observed := runFaulted(t, mk, mode, 4, seed, &plan, obs.New())
 						p := plan
 						plain := runFaulted(t, mk, mode, 4, seed, &p, nil)
-						plain.obs = observed.obs // no collector to compare
+						plain.obs, plain.timeline = observed.obs, observed.timeline // no collector to compare
 						diffCompare(t, "faulted "+ctx, observed, plain)
+						fine := obs.New()
+						fine.SamplePeriod = 97
+						p = plan
+						sampled := runFaulted(t, mk, mode, 4, seed, &p, fine)
+						sampled.obs = observed.obs // the profile depends on the period
+						diffCompare(t, "faulted sample=97 "+ctx, observed, sampled)
 					}
 				}
 			}

@@ -176,8 +176,8 @@ func (s *scheduler) importState(st *SchedState) error {
 // (same program, memory, cost model, worker count, options) and the
 // boundary's machine state already imported; cfg must carry the same tuple
 // (mode, policy, seed, quantum, budget) and, for byte-identical artifacts,
-// an obs collector, event log and output writer pre-seeded with the state
-// captured alongside the boundary.
+// an obs collector and output writer pre-seeded with the state captured
+// alongside the boundary.
 func Resume(m *machine.Machine, cfg Config, st *SchedState) (*Result, error) {
 	s, err := newScheduler(m, cfg)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 // diffSeeds returns the seeds the differential matrix sweeps. PR CI runs a
@@ -48,27 +47,37 @@ func diffWorkloads() []func() *apps.Workload {
 	}
 }
 
-// diffRun is one run's complete observable state.
+// diffRun is one run's complete observable state. obs and timeline are
+// nil for an obs-free run.
 type diffRun struct {
-	res    *core.Result
-	events []sched.TraceEvent
-	out    []byte
-	obs    []byte
+	res      *core.Result
+	out      []byte
+	obs      []byte
+	timeline []byte
 }
 
 // runEngine executes the workload with full observability attached and
 // returns everything the run produces.
 func runEngine(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int, seed uint64) diffRun {
 	t.Helper()
-	collector := obs.New()
-	r := runWith(t, mk, mode, workers, seed, collector)
-	r.obs = obsDump(collector)
-	return r
+	return runWith(t, mk, mode, workers, seed, obs.New())
+}
+
+// runSampled is runEngine with the profiler sampling every period virtual
+// cycles. The sampler is a batching deadline, so a different period splits
+// the batched tier's straight-line runs at different points; the profile
+// differs but the scheduling events must not.
+func runSampled(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int,
+	seed uint64, period int64) diffRun {
+	t.Helper()
+	c := obs.New()
+	c.SamplePeriod = period
+	return runWith(t, mk, mode, workers, seed, c)
 }
 
 // runEnginePlain is runEngine without the observability collector: the
-// obs-free interpreter paths compare on Result, program output and the
-// sorted event log, which is everything such a run produces.
+// obs-free interpreter paths compare on Result and program output, which
+// is everything such a run produces.
 func runEnginePlain(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int, seed uint64) diffRun {
 	t.Helper()
 	return runWith(t, mk, mode, workers, seed, nil)
@@ -82,14 +91,18 @@ func runWith(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers int
 	seed uint64, collector *obs.Collector) diffRun {
 	t.Helper()
 	w := mk()
-	var events sched.EventLog
 	var out bytes.Buffer
-	res, err := core.Run(w, rtConfig(mode, workers, seed, &events, collector, &out))
+	res, err := core.Run(w, rtConfig(mode, workers, seed, collector, &out))
 	if err != nil {
 		t.Fatalf("%s mode=%v workers=%d seed=%d obs=%t: %v",
 			w.Name, mode, workers, seed, collector != nil, err)
 	}
-	return diffRun{res: res, events: events.Sorted(), out: out.Bytes()}
+	r := diffRun{res: res, out: out.Bytes()}
+	if collector != nil {
+		r.obs = obsDump(collector)
+		r.timeline = timelineDump(collector)
+	}
+	return r
 }
 
 // obsDump renders a collector to a canonical byte form: the metrics
@@ -111,6 +124,13 @@ func obsDump(c *obs.Collector) []byte {
 	return b.Bytes()
 }
 
+// timelineDump renders a collector's migration timeline.
+func timelineDump(c *obs.Collector) []byte {
+	var b bytes.Buffer
+	c.WriteTimeline(&b)
+	return b.Bytes()
+}
+
 // diffCompare asserts a candidate run is byte-identical to the reference
 // run in every observable dimension.
 func diffCompare(t *testing.T, ctx string, want, got diffRun) {
@@ -118,11 +138,11 @@ func diffCompare(t *testing.T, ctx string, want, got diffRun) {
 	if !reflect.DeepEqual(want.res, got.res) {
 		t.Fatalf("%s: Result diverged:\nwant: %+v\ngot:  %+v", ctx, want.res, got.res)
 	}
-	if !reflect.DeepEqual(want.events, got.events) {
-		t.Fatalf("%s: event log diverged (%d vs %d events)", ctx, len(want.events), len(got.events))
-	}
 	if !bytes.Equal(want.out, got.out) {
 		t.Fatalf("%s: program output diverged:\nwant: %q\ngot:  %q", ctx, want.out, got.out)
+	}
+	if !bytes.Equal(want.timeline, got.timeline) {
+		t.Fatalf("%s: timeline diverged:\nwant:\n%s\ngot:\n%s", ctx, want.timeline, got.timeline)
 	}
 	if !bytes.Equal(want.obs, got.obs) {
 		t.Fatalf("%s: obs snapshot diverged:\nwant:\n%s\ngot:\n%s", ctx, want.obs, got.obs)
@@ -131,11 +151,13 @@ func diffCompare(t *testing.T, ctx string, want, got diffRun) {
 
 // TestEngineDifferential is the equivalence matrix: for every workload ×
 // mode × worker count × seed, the run with observability attached must
-// produce byte-identical Result, program output and sorted event log to the
-// same tuple run obs-free, with the invariant checker on. The obs sampler
-// is a second batching deadline, so the two legs split straight-line runs
-// at different points and take different paths through the batched tier:
-// the matrix checks that observation never changes a run.
+// produce byte-identical Result and program output to the same tuple run
+// obs-free, and byte-identical Result, program output and migration
+// timeline to the same tuple sampled every 97 cycles instead of 521, with
+// the invariant checker on. The obs sampler is a batching deadline, so the
+// legs split straight-line runs at different points and take different
+// paths through the batched tier: the matrix checks that observation never
+// changes a run.
 func TestEngineDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix")
@@ -158,8 +180,12 @@ func TestEngineDifferential(t *testing.T) {
 						plain := runEnginePlain(t, mk, mode, workers, seed)
 						// The obs-free leg has no collector to compare; every
 						// other dimension must match.
-						plain.obs = observed.obs
+						plain.obs, plain.timeline = observed.obs, observed.timeline
 						diffCompare(t, ctx, observed, plain)
+						// The profile depends on the period; the events must not.
+						fine := runSampled(t, mk, mode, workers, seed, 97)
+						fine.obs = observed.obs
+						diffCompare(t, ctx+" sample=97", observed, fine)
 					}
 				}
 			}

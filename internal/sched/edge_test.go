@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/postproc"
 	"repro/internal/sched"
 	"repro/internal/stlib"
@@ -109,30 +111,51 @@ func TestSingleWorkerSchedEqualsRunSingle(t *testing.T) {
 	}
 }
 
-// TestEventLog checks the timeline facility: a run with steals produces a
-// request before every steal and ends with a halt.
+// TestEventLog checks the migration timeline: a run with steals logs one
+// steal row per Result steal, at least as many requests as steals, and one
+// halt, and the per-kind counts agree with the rows.
 func TestEventLog(t *testing.T) {
-	log := &sched.EventLog{}
+	c := obs.New()
 	res, err := core.Run(apps.Fib(15, apps.ST), core.Config{
-		Mode: core.StackThreads, Workers: 3, Seed: 1, Events: log,
+		Mode: core.StackThreads, Workers: 3, Seed: 1, Obs: c,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := log.Counts()
-	if int64(counts[sched.TraceSteal]) != res.Steals {
-		t.Fatalf("logged %d steals, result says %d", counts[sched.TraceSteal], res.Steals)
-	}
-	if counts[sched.TraceHalt] != 1 {
-		t.Fatalf("halt events = %d", counts[sched.TraceHalt])
-	}
-	if counts[sched.TraceRequest] < counts[sched.TraceSteal] {
-		t.Fatal("fewer requests than steals")
-	}
 	var sb strings.Builder
-	log.Dump(&sb)
-	if !strings.Contains(sb.String(), "steal") {
-		t.Fatal("dump misses steals")
+	c.WriteTimeline(&sb)
+	rows := map[string]int{}
+	counts := map[string]int{}
+	for _, line := range strings.Split(sb.String(), "\n")[1:] {
+		switch f := strings.Fields(line); len(f) {
+		case 6:
+			rows[f[1]]++
+		case 2:
+			n, err := strconv.Atoi(f[1])
+			if err != nil {
+				t.Fatalf("bad count line %q", line)
+			}
+			counts[f[0]] = n
+		}
+	}
+	for k := range rows {
+		if _, ok := counts[k]; !ok {
+			t.Fatalf("kind %q has rows but no count line", k)
+		}
+	}
+	for k, n := range counts {
+		if rows[k] != n {
+			t.Fatalf("%s: %d rows, count line says %d", k, rows[k], n)
+		}
+	}
+	if int64(counts["steal"]) != res.Steals || res.Steals == 0 {
+		t.Fatalf("logged %d steals, result says %d", counts["steal"], res.Steals)
+	}
+	if counts["halt"] != 1 {
+		t.Fatalf("halt events = %d", counts["halt"])
+	}
+	if counts["request"] < counts["steal"] {
+		t.Fatal("fewer requests than steals")
 	}
 }
 

@@ -19,20 +19,19 @@ import (
 // Round-trip property: a run captured at ANY pick boundary, serialized
 // through the snapshot codec, deserialized and resumed must be
 // byte-identical in every observable dimension (Result, program output,
-// event log, obs state) to the undisturbed run. This is what makes
+// obs state with its event stream) to the undisturbed run. This is what makes
 // continuations safe to checkpoint to disk and ship between cluster nodes.
 
 // rtConfig builds the config every differential and round-trip run uses,
 // so all comparisons hold to the same byte-identity standard.
 func rtConfig(mode core.Mode, workers int, seed uint64,
-	events *sched.EventLog, collector *obs.Collector, out *bytes.Buffer) core.Config {
+	collector *obs.Collector, out *bytes.Buffer) core.Config {
 	return core.Config{
 		Mode:            mode,
 		Workers:         workers,
 		Seed:            seed,
 		CheckInvariants: true,
 		SegmentedStacks: workers > 1,
-		Events:          events,
 		Obs:             collector,
 		Out:             out,
 		Audit:           invariant.New(64),
@@ -46,9 +45,8 @@ func captureAt(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers i
 	seed uint64, pick int64, collector *obs.Collector) []byte {
 	t.Helper()
 	w := mk()
-	var events sched.EventLog
 	var out bytes.Buffer
-	cfg := rtConfig(mode, workers, seed, &events, collector, &out)
+	cfg := rtConfig(mode, workers, seed, collector, &out)
 	cfg.Checkpoint = &sched.Checkpoint{YieldAtPick: pick}
 	_, err := core.Run(w, cfg)
 	var ye *sched.YieldError
@@ -66,7 +64,6 @@ func captureAt(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers i
 		Sched:   ye.Boundary.Sched,
 		Fault:   ye.Boundary.Fault,
 		Obs:     obsState,
-		Events:  events.Events,
 		Out:     bytes.Clone(out.Bytes()),
 	})
 	if err != nil {
@@ -86,7 +83,6 @@ func resumeFrom(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers 
 		t.Fatalf("decode: %v", err)
 	}
 	w := mk()
-	events := sched.EventLog{Events: snap.Events}
 	var out bytes.Buffer
 	out.Write(snap.Out)
 	var collector *obs.Collector
@@ -96,14 +92,15 @@ func resumeFrom(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers 
 			t.Fatalf("obs import: %v", err)
 		}
 	}
-	cfg := rtConfig(mode, workers, seed, &events, collector, &out)
+	cfg := rtConfig(mode, workers, seed, collector, &out)
 	res, err := core.Resume(w, cfg, &sched.Boundary{Mach: snap.Mach, Sched: snap.Sched, Fault: snap.Fault})
 	if err != nil {
 		t.Fatalf("%s: resume: %v", w.Name, err)
 	}
-	got := diffRun{res: res, events: events.Sorted(), out: out.Bytes()}
+	got := diffRun{res: res, out: out.Bytes()}
 	if collector != nil {
 		got.obs = obsDump(collector)
+		got.timeline = timelineDump(collector)
 	}
 	return got
 }
@@ -112,8 +109,8 @@ func resumeFrom(t *testing.T, mk func() *apps.Workload, mode core.Mode, workers 
 // capture → encode → decode → restore → run must reproduce the undisturbed
 // bytes no matter where the run was cut. It sweeps twice: with the obs
 // collector attached, and obs-free, where the interpreter's batched tier
-// runs without sample-boundary exits and the comparison covers Result,
-// the sorted event log and program output.
+// runs without sample-boundary exits and the comparison covers Result and
+// program output.
 func TestRoundTripEveryBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("round-trip sweep")
@@ -231,22 +228,20 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 	// Checkpointing run: the sink serializes each boundary together with the
 	// partial artifacts at that instant, exactly as the server's sink does.
 	w := mk()
-	var events sched.EventLog
 	var out bytes.Buffer
 	collector := obs.New()
-	cfg := rtConfig(mode, workers, seed, &events, collector, &out)
+	cfg := rtConfig(mode, workers, seed, collector, &out)
 	var stored [][]byte
 	cfg.Checkpoint = &sched.Checkpoint{
 		EveryCycles: undisturbed.res.WorkCycles / 5,
 		Sink: func(b *sched.Boundary) error {
 			enc, err := snapshot.Encode(&snapshot.Snapshot{
-				Key:    "periodic",
-				Mach:   b.Mach,
-				Sched:  b.Sched,
-				Fault:  b.Fault,
-				Obs:    collector.ExportState(),
-				Events: append([]sched.TraceEvent(nil), events.Events...),
-				Out:    bytes.Clone(out.Bytes()),
+				Key:   "periodic",
+				Mach:  b.Mach,
+				Sched: b.Sched,
+				Fault: b.Fault,
+				Obs:   collector.ExportState(),
+				Out:   bytes.Clone(out.Bytes()),
 			})
 			if err != nil {
 				return err
@@ -261,7 +256,7 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 	}
 	// The checkpointing run itself must be byte-identical to the undisturbed
 	// one — capture is pure observation.
-	withCkpt := diffRun{res: res, events: events.Sorted(), out: out.Bytes(), obs: obsDump(collector)}
+	withCkpt := diffRun{res: res, out: out.Bytes(), obs: obsDump(collector), timeline: timelineDump(collector)}
 	diffCompare(t, "checkpointing run", undisturbed, withCkpt)
 	if len(stored) < 2 {
 		t.Fatalf("expected several periodic checkpoints, got %d", len(stored))

@@ -120,8 +120,6 @@ type Config struct {
 	// Engine names the host execution strategy; EngineSequential, the zero
 	// value, is the only one.
 	Engine Engine
-	// Events, when non-nil, collects the run's migration-level history.
-	Events *EventLog
 	// Obs, when non-nil, receives cycle-phase attribution for scheduler
 	// time (idle waits, steal requests, handshakes) and the enriched event
 	// stream. It must be the same collector given to the machine.
@@ -479,14 +477,11 @@ func (s *scheduler) handleEvent(i int, ev machine.Event) (bool, error) {
 		s.res.RV = w.Regs[isa.RV]
 		s.res.Time = w.Cycles
 		s.status[i] = halted
-		s.cfg.Events.add(TraceEvent{Time: w.Cycles, Kind: TraceHalt, Worker: i, From: -1})
 		s.cfg.Obs.Instant(w.Cycles, i, "halt")
 		return true, nil
 	case machine.EvBottom:
 		w.Shrink()
 		if c := w.ReadyQ.PopHead(); c != nil {
-			s.cfg.Events.add(TraceEvent{Time: w.Cycles, Kind: TraceResume, Worker: i, From: -1,
-				Frame: c.Top, ResumePC: c.ResumePC})
 			if s.cfg.Obs != nil {
 				s.cfg.Obs.Instant(w.Cycles, i, "resume", obs.Arg{K: "frame", V: c.Top})
 				s.cfg.Obs.CounterSample(w.Cycles, i, "readyq", int64(w.ReadyQ.Len()))
@@ -494,7 +489,6 @@ func (s *scheduler) handleEvent(i int, ev machine.Event) (bool, error) {
 			w.StartThread(c)
 			return false, nil
 		}
-		s.cfg.Events.add(TraceEvent{Time: w.Cycles, Kind: TraceIdle, Worker: i, From: -1})
 		s.cfg.Obs.Instant(w.Cycles, i, "idle")
 		s.goIdle(i, w.Cycles)
 		return s.quiescent()
@@ -627,7 +621,6 @@ func (s *scheduler) attemptSteal(i int) {
 	s.reqs[v] = &stealReq{thief: i, postedAt: w.Cycles}
 	vw.PollSignal = true
 	s.status[i] = waiting
-	s.cfg.Events.add(TraceEvent{Time: w.Cycles, Kind: TraceRequest, Worker: i, From: v})
 	s.cfg.Obs.Instant(w.Cycles, i, "steal-request", obs.Arg{K: "victim", V: int64(v)})
 }
 
@@ -703,8 +696,6 @@ func (s *scheduler) servicePoll(v int) {
 	if reply != nil {
 		s.res.Steals++
 		latency := thief.Cycles - req.postedAt
-		s.cfg.Events.add(TraceEvent{Time: thief.Cycles, Kind: TraceSteal, Worker: req.thief, From: v,
-			Frame: reply.Top, ResumePC: reply.ResumePC, Latency: latency})
 		if s.cfg.Obs != nil {
 			s.cfg.Obs.StealLatency.Observe(latency)
 			s.cfg.Obs.Instant(thief.Cycles, req.thief, "steal",
@@ -715,7 +706,6 @@ func (s *scheduler) servicePoll(v int) {
 		thief.StartThread(reply)
 		s.status[req.thief] = running
 	} else {
-		s.cfg.Events.add(TraceEvent{Time: thief.Cycles, Kind: TraceReject, Worker: req.thief, From: v})
 		s.cfg.Obs.Instant(thief.Cycles, req.thief, "steal-reject", obs.Arg{K: "victim", V: int64(v)})
 		s.goIdle(req.thief, thief.Cycles)
 	}
@@ -793,8 +783,6 @@ func (s *scheduler) attemptStealCilk(i int) {
 		if c != nil {
 			s.res.Steals++
 			w.Cycles += s.m.Cost.CilkStealCost
-			s.cfg.Events.add(TraceEvent{Time: w.Cycles, Kind: TraceSteal, Worker: i, From: v,
-				Frame: c.Top, ResumePC: c.ResumePC})
 			s.cfg.Obs.Instant(w.Cycles, i, "steal",
 				obs.Arg{K: "victim", V: int64(v)},
 				obs.Arg{K: "frame", V: c.Top})

@@ -7,11 +7,10 @@ import (
 
 // executor is the server's fixed set of job slots with a supervisor: each
 // slot is a goroutine pulling admitted jobs off an unbuffered channel (the
-// blocking send is the dispatcher's backpressure, exactly like
-// hostpar.Pool). Unlike a generic pool, a slot that dies to a panic is
-// isolated and replaced: the supervisor defers in the slot body finish the
-// in-flight job with a typed failure and respawn the slot, so one
-// poisonous job can never shrink serving capacity.
+// blocking send is the dispatcher's backpressure). Unlike a generic pool,
+// a slot that dies to a panic is isolated and replaced: the supervisor
+// defers in the slot body finish the in-flight job with a typed failure and
+// respawn the slot, so one poisonous job can never shrink serving capacity.
 type executor struct {
 	s     *Server
 	tasks chan *Job

@@ -91,9 +91,6 @@ func (r *JobRequest) normalize() error {
 	}
 	// Check the name only: the workload is built once, at execution, so
 	// validation stays cheap at every hop and a cache hit builds nothing.
-	if r.App == pingpongApp {
-		return nil
-	}
 	return figures.CheckName(r.App)
 }
 
@@ -124,24 +121,11 @@ func (r JobRequest) Normalized() (JobRequest, error) {
 	return r, err
 }
 
-// pingpongApp names the suspension kernel, which serving accepts alongside
-// the figures benchmarks.
-const pingpongApp = "pingpong"
-
 // workload builds the benchmark the request names.
 func (r *JobRequest) workload() (*apps.Workload, error) {
 	v := apps.ST
 	if r.Mode == "seq" {
 		v = apps.Seq
-	}
-	if r.App == pingpongApp {
-		// The suspension kernel; the full scale is deliberately long-running
-		// (it is the serving tests' cancellation target).
-		rounds := int64(100)
-		if r.Full {
-			rounds = 1_000_000
-		}
-		return apps.PingPong(rounds, v), nil
 	}
 	sc := figures.Quick
 	if r.Full {
@@ -313,6 +297,18 @@ func (o *ExecOpts) notify(event string) {
 // and surfaces a cooperative yield as a *SuspendedError carrying the
 // encoded continuation.
 func runScheduled(w *apps.Workload, cfg core.Config, key string, col *obs.Collector, opts ExecOpts) (*core.Result, error) {
+	// encode snapshots a boundary together with the collector's state at
+	// that instant.
+	encode := func(b *sched.Boundary) ([]byte, error) {
+		return snapshot.Encode(&snapshot.Snapshot{
+			Key:     key,
+			TraceID: opts.TraceID,
+			Mach:    b.Mach,
+			Sched:   b.Sched,
+			Fault:   b.Fault,
+			Obs:     col.ExportState(),
+		})
+	}
 	cp := opts.Checkpoint
 	if cp == nil && opts.Checkpoints != nil {
 		cp = &sched.Checkpoint{}
@@ -323,14 +319,7 @@ func runScheduled(w *apps.Workload, cfg core.Config, key string, col *obs.Collec
 			cp.EveryCycles = 2_000_000
 		}
 		cp.Sink = func(b *sched.Boundary) error {
-			enc, err := snapshot.Encode(&snapshot.Snapshot{
-				Key:     key,
-				TraceID: opts.TraceID,
-				Mach:    b.Mach,
-				Sched:   b.Sched,
-				Fault:   b.Fault,
-				Obs:     col.ExportState(),
-			})
+			enc, err := encode(b)
 			if err != nil {
 				return err
 			}
@@ -357,14 +346,7 @@ func runScheduled(w *apps.Workload, cfg core.Config, key string, col *obs.Collec
 	}
 	var ye *sched.YieldError
 	if errors.As(err, &ye) {
-		enc, eerr := snapshot.Encode(&snapshot.Snapshot{
-			Key:     key,
-			TraceID: opts.TraceID,
-			Mach:    ye.Boundary.Mach,
-			Sched:   ye.Boundary.Sched,
-			Fault:   ye.Boundary.Fault,
-			Obs:     col.ExportState(),
-		})
+		enc, eerr := encode(ye.Boundary)
 		if eerr != nil {
 			return nil, fmt.Errorf("server: encode yielded continuation: %w", eerr)
 		}

@@ -1,6 +1,6 @@
 // Package server is the job-execution service: it accepts StackThreads/
 // Cilk simulation jobs over an HTTP+JSON API, multiplexes them across host
-// cores via internal/hostpar, and serves back core.Result plus the
+// cores on a fixed set of supervised executor slots, and serves back core.Result plus the
 // deterministic observability artifacts (metrics snapshot, phase report,
 // Chrome trace).
 //
@@ -13,7 +13,8 @@
 //   - admission control: a bounded queue; when it is full, submissions are
 //     rejected immediately (HTTP 429 + Retry-After) rather than queued
 //     without bound. Dispatch is priority-then-FIFO.
-//   - execution: a fixed hostpar.Pool of executors, one job per host slot.
+//   - execution: a fixed set of supervised executor slots, one job per
+//     host slot.
 //   - cancellation and deadlines: every job carries a context; DELETE or a
 //     timeout cancels it cooperatively through core.Config.Ctx, and a
 //     per-job MaxWorkCycles virtual budget bounds runaway tuples.

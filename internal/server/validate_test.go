@@ -13,7 +13,7 @@ import (
 
 // acceptedApps lists every app name serving accepts.
 func acceptedApps() []string {
-	return append(append([]string(nil), figures.BenchNames...), pingpongApp)
+	return append(append([]string(nil), figures.BenchNames...), "pingpong")
 }
 
 // TestNormalizedBuildsNoWorkload pins the pre-admission validation cost:

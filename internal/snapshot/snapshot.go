@@ -1,8 +1,8 @@
 // Package snapshot is the versioned, deterministic binary codec for
 // suspended runs: a captured continuation (machine, scheduler and
 // fault-injector state at a pick boundary) bundled with the partial
-// artifacts accumulated so far (observability state, migration event log,
-// program output prefix) and the job identity it belongs to.
+// artifacts accumulated so far (observability state and program output
+// prefix) and the job identity it belongs to.
 //
 // Determinism is a hard contract: encoding the same Snapshot twice yields
 // identical bytes (all map-shaped state is exported as sorted slices by the
@@ -31,7 +31,7 @@ import (
 // layout change; decoders reject other versions with a *VersionError, and
 // the serving layer keys caches and checkpoints by it so an upgraded node
 // can never serve or resume a stale-format artifact.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // magic identifies snapshot files/payloads.
 var magic = [6]byte{'S', 'T', 'S', 'N', 'A', 'P'}
@@ -68,8 +68,6 @@ type Snapshot struct {
 	Fault *fault.State
 	// Obs is the collector state at capture; nil when the run had none.
 	Obs *obs.CollectorState
-	// Events is the migration event log prefix at capture.
-	Events []sched.TraceEvent
 	// Out is the program output prefix at capture.
 	Out []byte
 }
@@ -245,16 +243,6 @@ func Encode(s *Snapshot) ([]byte, error) {
 		encodeObs(w, s.Obs)
 	}
 
-	w.u64(uint64(len(s.Events)))
-	for _, e := range s.Events {
-		w.i64(e.Time)
-		w.i64(int64(e.Kind))
-		w.i64(int64(e.Worker))
-		w.i64(int64(e.From))
-		w.i64(e.Frame)
-		w.i64(e.ResumePC)
-		w.i64(e.Latency)
-	}
 	w.bytes(s.Out)
 
 	w.u32(crc32.ChecksumIEEE(w.buf))
@@ -465,18 +453,6 @@ func Decode(b []byte) (*Snapshot, error) {
 	}
 	if r.boolean() {
 		s.Obs = decodeObs(r)
-	}
-	n := r.count(7 * 8)
-	for i := 0; i < n; i++ {
-		s.Events = append(s.Events, sched.TraceEvent{
-			Time:     r.i64(),
-			Kind:     sched.TraceKind(r.i64()),
-			Worker:   int(r.i64()),
-			From:     int(r.i64()),
-			Frame:    r.i64(),
-			ResumePC: r.i64(),
-			Latency:  r.i64(),
-		})
 	}
 	s.Out = r.bytes()
 	if r.err != nil {

@@ -90,10 +90,6 @@ func sample() *Snapshot {
 				{Name: "sched.steal_latency", Count: 3, Sum: 60, Min: 10, Max: 30, Buckets: make([]int64, 48)},
 			},
 		},
-		Events: []sched.TraceEvent{
-			{Time: 880, Kind: sched.TraceRequest, Worker: 0, From: 1, Frame: 131200, ResumePC: 0x104, Latency: 0},
-			{Time: 900, Kind: sched.TraceSteal, Worker: 0, From: 1, Frame: 131200, ResumePC: 0x104, Latency: 20},
-		},
 		Out: []byte("partial output\n"),
 	}
 }
@@ -144,7 +140,7 @@ func TestRoundTripMinimal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if got.Fault != nil || got.Obs != nil || got.Events != nil {
+	if got.Fault != nil || got.Obs != nil {
 		t.Fatalf("optional sections should decode nil, got %+v", got)
 	}
 	if got.Key != "k" || len(got.Mach.Workers) != 1 {
