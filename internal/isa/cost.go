@@ -135,12 +135,18 @@ func CostModels() []*CostModel {
 	return []*CostModel{SPARC(), X86(), MIPS(), Alpha()}
 }
 
-// CostModelByName returns the named model, or nil.
+// CostModelByName returns a fresh copy of the named model, or nil. It
+// builds only that model.
 func CostModelByName(name string) *CostModel {
-	for _, m := range CostModels() {
-		if m.Name == name {
-			return m
-		}
+	switch name {
+	case "sparc":
+		return SPARC()
+	case "x86":
+		return X86()
+	case "mips":
+		return MIPS()
+	case "alpha":
+		return Alpha()
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -168,5 +169,27 @@ func TestCostModels(t *testing.T) {
 	}
 	if CostModelByName("vax") != nil {
 		t.Error("unknown CPU resolved")
+	}
+}
+
+// TestCostModelByName checks the name lookup against the model table: every
+// name resolves to a model equal to the table's, each call returns a fresh
+// copy the caller may change, and an unknown name resolves to nil.
+func TestCostModelByName(t *testing.T) {
+	for _, want := range CostModels() {
+		got := CostModelByName(want.Name)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("CostModelByName(%q) = %+v, want %+v", want.Name, got, want)
+		}
+		got.OpCost[Load]++
+		got.BuiltinCost[BSuspend]++
+		if again := CostModelByName(want.Name); !reflect.DeepEqual(again, want) {
+			t.Fatalf("CostModelByName(%q) shares state between calls", want.Name)
+		}
+	}
+	for _, name := range []string{"", "vax", "SPARC", "sparc "} {
+		if m := CostModelByName(name); m != nil {
+			t.Errorf("CostModelByName(%q) = %s, want nil", name, m.Name)
+		}
 	}
 }

@@ -228,6 +228,9 @@ func New(prog *isa.Program, memory *mem.Memory, cost *isa.CostModel, nWorkers in
 	}
 	m.augRefund = cost.OpCost[isa.Load] + cost.OpCost[isa.Bge] + cost.OpCost[isa.Blt]
 	m.buildDecode()
+	// Size the page table once for every worker's stack and local storage,
+	// so the mappings below reslice it instead of reallocating per worker.
+	memory.Grow(int64(nWorkers) * (opts.StackWords + wlWords))
 	for i := 0; i < nWorkers; i++ {
 		w := newWorker(m, i)
 		m.Workers = append(m.Workers, w)

@@ -152,7 +152,7 @@ func (st *State) Validate() error {
 // storage of wlWords words and stack segments of Opts.StackWords words, back
 // to back from the heap's end. Each worker holds one segment, or up to
 // MaxSegments under Opts.SegmentedStacks. Together with Validate's size
-// bound this caps the page table an import allocates at MaxSegments times
+// bound this caps the page table an import extends to at MaxSegments times
 // the one this machine built at construction, however the image was made.
 // A violation is a *mem.ImageError.
 func (m *Machine) checkLayout(st *State) error {

@@ -17,6 +17,7 @@ package mem
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Addr is a simulated memory address, measured in 64-bit words.
@@ -80,17 +81,36 @@ func New(heapWords int) *Memory {
 	return m
 }
 
-// NewReserved is New and reserves nothing: extra is ignored, because pages
-// materialize on their first nonzero store. It remains for a caller that
-// still passes a footprint (the benchmark's traced setup in perfbench).
-func NewReserved(heapWords int, extra Addr) *Memory { return New(heapWords) }
+// NewReserved is New with the page table grown (see Grow) for extra words
+// to be mapped past the heap. Pages still materialize on their first
+// nonzero store; only the table's pointer slots are reserved.
+func NewReserved(heapWords int, extra Addr) *Memory {
+	m := New(heapWords)
+	m.Grow(extra)
+	return m
+}
+
+// Grow sizes the page table so that mapping n more words past Size, by any
+// sequence of MapStack/MapWords calls, reslices it instead of reallocating.
+// machine.New calls it once for every worker's stack and local storage
+// before it maps any of them.
+func (m *Memory) Grow(n Addr) {
+	if n < 0 {
+		panic("mem: Grow: negative size")
+	}
+	if np := int((m.size + n + PageMask) >> PageShift); np > cap(m.pages) {
+		m.pages = slices.Grow(m.pages, np-len(m.pages))
+	}
+}
 
 // extend maps every address below size, growing the page table with nil
-// (zero) pages.
+// (zero) pages. Within the table's capacity it reslices and allocates
+// nothing. The entries it exposes are already nil: the table never shrinks,
+// nothing writes past its length, and Grow's new capacity is zeroed.
 func (m *Memory) extend(size Addr) {
 	m.size = size
 	if np := int((size + PageMask) >> PageShift); np > len(m.pages) {
-		m.pages = append(m.pages, make([]*Page, np-len(m.pages))...)
+		m.pages = slices.Grow(m.pages, np-len(m.pages))[:np]
 	}
 }
 
@@ -100,8 +120,10 @@ func (m *Memory) Size() Addr { return m.size }
 // Pages exposes the page table for the interpreter's batched fast path,
 // which performs its own guard check per access. A nil entry reads as zero;
 // callers store to one through Store, which materializes it in this same
-// table. The slice header is invalidated by the next MapStack/MapWords or
-// ImportState, so the fast path re-fetches it at every batch boundary.
+// table. The next MapStack/MapWords or ImportState may lengthen the table,
+// and reallocate it once it outgrows the capacity Grow set, so the slice
+// header is stale after either; the fast path re-fetches it at every batch
+// boundary.
 func (m *Memory) Pages() []*Page { return m.pages }
 
 // HeapLo returns the first heap address.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -194,4 +195,99 @@ func TestStateRoundTrip(t *testing.T) {
 	if err := build().ImportState(New(PageWords).ExportState()); err == nil {
 		t.Fatal("a smaller image was accepted")
 	}
+}
+
+// TestGrowPresizesMapping checks that after Grow(n) or NewReserved, mapping
+// up to n more words reslices the page table without allocating, and that
+// the regions still read as zero.
+func TestGrowPresizesMapping(t *testing.T) {
+	const stack, wl, runs = 4*PageWords + 3, 8, 4
+	m := New(2 * PageWords)
+	// AllocsPerRun calls its function once more than runs, to warm up.
+	m.Grow((runs + 1) * (stack + wl))
+	table := &m.Pages()[:1][0]
+	allocs := testing.AllocsPerRun(runs, func() {
+		m.MapStack(stack)
+		m.MapWords(wl)
+	})
+	if allocs != 0 {
+		t.Fatalf("mapping within the presized table allocated %v times", allocs)
+	}
+	if got := &m.Pages()[:1][0]; got != table {
+		t.Fatal("mapping within the presized table moved it")
+	}
+	if got := m.Load(m.Size() - 1); got != 0 {
+		t.Fatalf("last mapped word = %d, want 0", got)
+	}
+	// NewReserved presizes the same way.
+	r := NewReserved(2*PageWords, stack)
+	if allocs := testing.AllocsPerRun(1, func() { r.MapStack(stack / 2) }); allocs != 0 {
+		t.Fatalf("mapping within NewReserved's reservation allocated %v times", allocs)
+	}
+	// Past the presized capacity the table still grows.
+	seg := m.MapStack(stack)
+	m.Store(seg.Hi-1, 5)
+	if m.Load(seg.Hi-1) != 5 {
+		t.Fatal("mapping past the presized table lost a store")
+	}
+}
+
+// TestImportStateInPlace checks that ImportState reuses the page table
+// built at construction: pages the importing side's setup materialized but
+// the image omits read zero afterwards, the table is not reallocated when
+// the image maps nothing new, and an image with extra segments still
+// extends it.
+func TestImportStateInPlace(t *testing.T) {
+	build := func() *Memory {
+		m := New(2 * PageWords)
+		m.Grow(3 * PageWords)
+		m.MapStack(3 * PageWords)
+		return m
+	}
+	src := build()
+	base, _ := src.Alloc(10)
+	src.Store(base, 1)
+	top := src.Size() - 1
+	src.Store(top, 2)
+	st := src.ExportState()
+
+	dst := build()
+	// Setup on the importing side touches pages the image leaves out (and
+	// one it carries): they must come out of the import as the image says.
+	stale := []Addr{Guard + PageWords + 3, top - PageWords, top - 2*PageWords}
+	for _, a := range stale {
+		dst.Store(a, -7)
+	}
+	dst.Store(base, 99)
+	table := &dst.Pages()[:1][0]
+	if err := dst.ImportState(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := &dst.Pages()[:1][0]; got != table {
+		t.Fatal("ImportState reallocated the page table")
+	}
+	for _, a := range stale {
+		if got := dst.Load(a); got != 0 {
+			t.Fatalf("word %d = %d after import, want 0 (page not in the image)", a, got)
+		}
+	}
+	if dst.Load(base) != 1 || dst.Load(top) != 2 {
+		t.Fatalf("imported words = %d, %d, want 1, 2", dst.Load(base), dst.Load(top))
+	}
+	if !reflect.DeepEqual(dst.ExportState(), st) {
+		t.Fatal("re-export differs from the imported image")
+	}
+
+	// An image that mapped a segment after construction extends the table.
+	src.MapStack(PageWords)
+	end := src.Size() - 1
+	src.Store(end, 3)
+	grown := build()
+	if err := grown.ImportState(src.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	if grown.Size() != src.Size() || grown.Load(end) != 3 {
+		t.Fatalf("size %d, word %d = %d; want %d, 3", grown.Size(), end, grown.Load(end), src.Size())
+	}
+	grown.Store(end-1, 4) // the extension is mapped, not just sized
 }

@@ -38,11 +38,16 @@ func imageErrorf(format string, args ...any) error {
 func (m *Memory) ExportState() *State {
 	st := &State{Size: m.size, HeapNext: m.heapNext}
 	for p, pg := range m.pages {
-		if pg == nil || *pg == (Page{}) {
-			continue
+		if pg != nil && *pg != (Page{}) {
+			st.Index = append(st.Index, int64(p))
 		}
-		st.Index = append(st.Index, int64(p))
-		st.Words = append(st.Words, pg[:]...)
+	}
+	if len(st.Index) == 0 {
+		return st
+	}
+	st.Words = make([]int64, len(st.Index)*PageWords)
+	for i, p := range st.Index {
+		copy(st.Words[i*PageWords:], m.pages[p][:])
 	}
 	return st
 }
@@ -96,9 +101,11 @@ func (st *State) Validate() error {
 // image may be larger than the current mapping (the checkpointed run mapped
 // extra stack segments after construction); it can never be smaller,
 // because the importer reconstructs the machine with the same worker count
-// and stack sizes before installing the image. The page table is sized from
-// st.Size and filled from st.Index, so the image must have passed Validate,
-// and callers holding an untrusted image bound its Size first.
+// and stack sizes before installing the image. The page table built at
+// construction is reused: every page setup materialized is dropped, the
+// table is extended to st.Size and filled from st.Index, so the image must
+// have passed Validate, and callers holding an untrusted image bound its
+// Size first.
 func (m *Memory) ImportState(st *State) error {
 	if st.Size < m.size {
 		return fmt.Errorf("mem: import image has %d words, current mapping needs %d",
@@ -108,7 +115,7 @@ func (m *Memory) ImportState(st *State) error {
 		return fmt.Errorf("mem: import heap pointer %d outside heap [%d,%d)",
 			st.HeapNext, m.heapLo, m.heapHi)
 	}
-	m.pages = nil
+	clear(m.pages)
 	m.extend(st.Size)
 	backing := make([]Page, len(st.Index))
 	for i, p := range st.Index {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -296,6 +297,96 @@ func TestStealAbandonedGrantRequeues(t *testing.T) {
 		if got := mustOutJSON(t, j.Output()); !bytes.Equal(got, ref) {
 			t.Fatalf("iter %d: output differs from an undisturbed run", i)
 		}
+	}
+}
+
+// TestStealDuringCacheProbe: a job is stealable from the moment it is marked
+// running, including while its executor probes the result cache. The cache
+// is held locked so the job sits in that window; a thief polling then must
+// get a claim, not ErrNoStealable. When the probe misses, the run yields to
+// the thief at its first pick boundary; the thief vanishes and the job
+// finishes locally from its continuation. When the probe hits, the job
+// finishes from the cache and the waiting thief is told there is nothing to
+// steal.
+func TestStealDuringCacheProbe(t *testing.T) {
+	req := JobRequest{App: "fib", Workers: 4, Seed: 10}
+	ref := refOutput(t, req)
+	for _, hit := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hit=%t", hit), func(t *testing.T) {
+			s := New(Config{QueueBound: 8, HostProcs: 1, CacheEntries: 16,
+				StealTTL: 150 * time.Millisecond})
+			defer s.Drain()
+			if hit {
+				nr, err := req.Normalized()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := Execute(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.cache.Put(nr.CacheKey(), out)
+			}
+			s.cache.mu.Lock()
+			locked := true
+			defer func() {
+				if locked {
+					s.cache.mu.Unlock()
+				}
+			}()
+			j, err := s.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "job running", func() bool { return jobState(s, j) == StateRunning })
+
+			type stealResult struct {
+				claim string
+				err   error
+			}
+			resc := make(chan stealResult, 1)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			go func() {
+				_, claim, _, err := s.StealOne(ctx)
+				resc <- stealResult{claim, err}
+			}()
+			waitFor(t, "thief waiting on the job", func() bool {
+				select {
+				case r := <-resc:
+					t.Fatalf("steal during the cache probe returned early: %v", r.err)
+				default:
+				}
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				return j.stealCh != nil
+			})
+			s.cache.mu.Unlock()
+			locked = false
+
+			r := <-resc
+			if hit {
+				if !errors.Is(r.err, ErrNoStealable) {
+					t.Fatalf("steal of a cache-served job: err = %v, want ErrNoStealable", r.err)
+				}
+			} else if r.err != nil || r.claim == "" {
+				t.Fatalf("steal of an executing job: claim %q, err %v", r.claim, r.err)
+			}
+			awaitDone(t, j)
+			if st := jobState(s, j); st != StateDone {
+				t.Fatalf("state = %s (%s), want done", st, jobErr(s, j))
+			}
+			if got := mustOutJSON(t, j.Output()); !bytes.Equal(got, ref) {
+				t.Fatal("output differs from an undisturbed run")
+			}
+			wantHits := int64(0)
+			if hit {
+				wantHits = 1
+			}
+			if got := s.met.Counter("cache_hits"); got != wantHits {
+				t.Fatalf("cache_hits = %d, want %d", got, wantHits)
+			}
+		})
 	}
 }
 

@@ -405,6 +405,17 @@ func (s *Server) runJob(j *Job) {
 	j.phase = "cache-probe"
 	j.started = time.Now()
 	j.progress = &obs.Progress{}
+	// A scheduled-mode job gets a capture handle in the same critical
+	// section that marks it running, so a thief never finds a running job
+	// it cannot claim: the cluster layer yields it for stealing, and the
+	// checkpoint store (if any) snapshots it periodically. Sequential runs
+	// have no pick boundaries. A job then served from the cache finishes
+	// normally; finishLocked wakes any thief waiting on it.
+	var cp *sched.Checkpoint
+	if j.Req.Mode != "seq" {
+		cp = &sched.Checkpoint{}
+		j.cp = cp
+	}
 	s.running++
 	s.met.Set("jobs_running", int64(s.running))
 	s.mu.Unlock()
@@ -440,14 +451,6 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.mu.Lock()
 	j.phase = "execute"
-	// A scheduled-mode job gets a capture handle: the cluster layer yields
-	// it for stealing, and the checkpoint store (if any) snapshots it
-	// periodically. Sequential runs have no pick boundaries.
-	var cp *sched.Checkpoint
-	if j.Req.Mode != "seq" {
-		cp = &sched.Checkpoint{}
-		j.cp = cp
-	}
 	resume := j.resume
 	j.resume = nil
 	s.attempts[key]++

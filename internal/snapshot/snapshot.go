@@ -462,8 +462,8 @@ func Decode(b []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.b)-r.off)
 	}
 	// The memory image arrives from peers and checkpoint directories and
-	// sizes the page table a resume allocates: bound it by the regions the
-	// workers name before anyone acts on it.
+	// decides how far a resume extends the page table: bound it by the
+	// regions the workers name before anyone acts on it.
 	if err := s.Mach.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
