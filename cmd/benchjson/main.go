@@ -9,17 +9,12 @@
 //
 //	benchjson -check -baseline BENCH_BASELINE.json -pr BENCH_PR.json
 //
-// Gate against an absolute floor (for benefit metrics, where the tolerance
-// check's bigger-is-worse convention is backwards):
-//
-//	benchjson -check -pr BENCH_PR.json -floor 'BenchmarkName/sub:metric:1.8'
-//
 // Only deterministic virtual-time metrics are gated by default: figures like
 // st-rel-avg or st/cilk are pure functions of the simulated configuration
 // and reproduce exactly on any host, so a >tolerance change is a real
 // regression, never runner noise. Host-dependent metrics (ns/op, vcycles/s,
-// host-speedup) are recorded for trend-watching and gated only with
-// -gate-host.
+// host-ns/vcycle) are recorded for trend-watching and gated only when -only
+// names them.
 package main
 
 import (
@@ -45,17 +40,6 @@ var gatedUnits = map[string]bool{
 	"vcycles/round":          true,
 	"overhead-vcycles/steal": true,
 	"steals":                 true,
-}
-
-// hostUnits vary with the machine running the benchmark.
-var hostUnits = map[string]bool{
-	"ns/op":          true,
-	"B/op":           true,
-	"allocs/op":      true,
-	"vcycles/s":      true,
-	"host-speedup":   true,
-	"host-cores":     true,
-	"host-ns/vcycle": true,
 }
 
 // Doc is the JSON document: benchmark name → metric unit → value.
@@ -130,7 +114,7 @@ func write(doc *Doc, path string) error {
 // check compares pr against base and returns the regression report lines.
 // A non-nil only set replaces the default gating policy entirely: exactly
 // the listed units are gated, whether host-dependent or not.
-func check(base, pr *Doc, tolerance float64, gateHost bool, only map[string]bool) (bad, skipped []string) {
+func check(base, pr *Doc, tolerance float64, only map[string]bool) (bad, skipped []string) {
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
 		names = append(names, name)
@@ -148,7 +132,7 @@ func check(base, pr *Doc, tolerance float64, gateHost bool, only map[string]bool
 				if !only[unit] {
 					continue
 				}
-			} else if !gatedUnits[unit] && !(gateHost && hostUnits[unit]) {
+			} else if !gatedUnits[unit] {
 				continue
 			}
 			got, ok := pr.Benchmarks[name][unit]
@@ -177,50 +161,6 @@ func check(base, pr *Doc, tolerance float64, gateHost bool, only map[string]bool
 	return bad, skipped
 }
 
-// floorSpec is one `-floor benchmark:unit:min` requirement: the PR value of
-// the metric must be at least min. Floors gate benefit metrics (speedups),
-// where the tolerance check's larger-is-worse convention points the wrong
-// way, and need no baseline entry at all.
-type floorSpec struct {
-	name string
-	unit string
-	min  float64
-}
-
-func parseFloors(specs string) ([]floorSpec, error) {
-	var floors []floorSpec
-	for _, s := range strings.Split(specs, ",") {
-		if s = strings.TrimSpace(s); s == "" {
-			continue
-		}
-		parts := strings.Split(s, ":")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("bad -floor %q (want benchmark:unit:min)", s)
-		}
-		min, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -floor minimum %q: %v", parts[2], err)
-		}
-		floors = append(floors, floorSpec{name: parts[0], unit: parts[1], min: min})
-	}
-	return floors, nil
-}
-
-// checkFloors returns a failure line per floor the PR results miss.
-func checkFloors(pr *Doc, floors []floorSpec) (bad []string) {
-	for _, f := range floors {
-		got, ok := pr.Benchmarks[f.name][f.unit]
-		if !ok {
-			bad = append(bad, fmt.Sprintf("%s %s: missing from PR results (floor %g)", f.name, f.unit, f.min))
-			continue
-		}
-		if got < f.min {
-			bad = append(bad, fmt.Sprintf("%s %s: %.4g below floor %g", f.name, f.unit, got, f.min))
-		}
-	}
-	return bad
-}
-
 func main() {
 	var (
 		in        = flag.String("in", "", "benchmark output to convert (default stdin)")
@@ -229,9 +169,7 @@ func main() {
 		baseline  = flag.String("baseline", "BENCH_BASELINE.json", "baseline JSON for -check")
 		pr        = flag.String("pr", "BENCH_PR.json", "PR JSON for -check")
 		tolerance = flag.Float64("tolerance", 0.10, "allowed relative regression for gated metrics")
-		gateHost  = flag.Bool("gate-host", false, "also gate host-dependent metrics (ns/op, vcycles/s, ...)")
 		only      = flag.String("only", "", "comma-separated metric units: gate exactly these, replacing the default set")
-		floor     = flag.String("floor", "", "comma-separated benchmark:unit:min specs: fail if the PR value is below min")
 	)
 	flag.Parse()
 
@@ -249,36 +187,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(2)
 	}
-	floors, err := parseFloors(*floor)
-	if err != nil {
-		fail(err)
-	}
-	if *doCheck || len(floors) > 0 {
+	if *doCheck {
 		prDoc, err := load(*pr)
 		if err != nil {
 			fail(err)
 		}
-		var bad []string
-		if *doCheck {
-			base, err := load(*baseline)
-			if err != nil {
-				fail(err)
-			}
-			var improved []string
-			bad, improved = check(base, prDoc, *tolerance, *gateHost, onlyUnits)
-			if len(bad) == 0 {
-				fmt.Printf("benchjson: %d benchmarks within %.0f%% of baseline\n",
-					len(base.Benchmarks), 100**tolerance)
-			}
-			for _, line := range improved {
-				fmt.Println("note:", line)
-			}
+		base, err := load(*baseline)
+		if err != nil {
+			fail(err)
 		}
-		floorBad := checkFloors(prDoc, floors)
-		if len(floorBad) == 0 && len(floors) > 0 {
-			fmt.Printf("benchjson: %d floor requirements met\n", len(floors))
+		bad, improved := check(base, prDoc, *tolerance, onlyUnits)
+		if len(bad) == 0 {
+			fmt.Printf("benchjson: %d benchmarks within %.0f%% of baseline\n",
+				len(base.Benchmarks), 100**tolerance)
 		}
-		bad = append(bad, floorBad...)
+		for _, line := range improved {
+			fmt.Println("note:", line)
+		}
 		if len(bad) > 0 {
 			for _, line := range bad {
 				fmt.Println("REGRESSION:", line)

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -81,47 +82,8 @@ func main() {
 		benches = strings.Split(*bench, ",")
 	}
 
-	run := func(f int) error {
-		t0 := time.Now()
-		defer func() {
-			// Host timing goes to stderr so stdout depends only on the
-			// deterministic figures.
-			fmt.Fprintf(os.Stderr, "[figure %d: %.2fs host wall-clock on %d cores]\n",
-				f, time.Since(t0).Seconds(), hostpar.Procs(*hostprocs))
-		}()
-		switch f {
-		case 17, 18, 19, 20:
-			cpuName := map[int]string{17: "sparc", 18: "x86", 19: "mips", 20: "alpha"}[f]
-			_, err := figures.SpecOverheadsWith(os.Stdout, isa.CostModelByName(cpuName), opts)
-			return err
-		case 21:
-			_, err := figures.UniprocessorWith(os.Stdout, sc, opts)
-			return err
-		case 22:
-			figures.Table2(os.Stdout)
-			_, err := figures.ScalingWith(os.Stdout, sc, benches, opts)
-			return err
-		}
-		return fmt.Errorf("unknown figure %d", f)
-	}
-
 	if *ablate {
-		if _, err := figures.AblateCriteria(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "stbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-		if _, err := figures.AblateStealPolicy(os.Stdout, sc); err != nil {
-			fmt.Fprintln(os.Stderr, "stbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-		if _, err := figures.SpaceBound(os.Stdout, sc); err != nil {
-			fmt.Fprintln(os.Stderr, "stbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-		if _, err := figures.AblateSegmentedStacks(os.Stdout); err != nil {
+		if err := writeAblations(os.Stdout, sc); err != nil {
 			fmt.Fprintln(os.Stderr, "stbench:", err)
 			os.Exit(1)
 		}
@@ -131,18 +93,65 @@ func main() {
 	var figs []int
 	switch {
 	case *all:
-		figs = []int{17, 18, 19, 20, 21, 22}
+		figs = allFigures
 	case *fig != 0:
 		figs = []int{*fig}
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-	for _, f := range figs {
-		if err := run(f); err != nil {
-			fmt.Fprintln(os.Stderr, "stbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println()
+	if err := writeFigures(os.Stdout, os.Stderr, figs, sc, benches, opts); err != nil {
+		fmt.Fprintln(os.Stderr, "stbench:", err)
+		os.Exit(1)
 	}
+}
+
+// allFigures are the figures -all regenerates.
+var allFigures = []int{17, 18, 19, 20, 21, 22}
+
+// writeFigures prints each figure to w followed by a blank line, and its host
+// wall-clock line to timing, so w depends only on the deterministic figures.
+func writeFigures(w, timing io.Writer, figs []int, sc figures.Scale, benches []string, opts figures.Opts) error {
+	for _, f := range figs {
+		t0 := time.Now()
+		var err error
+		switch f {
+		case 17, 18, 19, 20:
+			cpuName := map[int]string{17: "sparc", 18: "x86", 19: "mips", 20: "alpha"}[f]
+			_, err = figures.SpecOverheadsWith(w, isa.CostModelByName(cpuName), opts)
+		case 21:
+			_, err = figures.UniprocessorWith(w, sc, opts)
+		case 22:
+			figures.Table2(w)
+			_, err = figures.ScalingWith(w, sc, benches, opts)
+		default:
+			err = fmt.Errorf("unknown figure %d", f)
+		}
+		fmt.Fprintf(timing, "[figure %d: %.2fs host wall-clock on %d cores]\n",
+			f, time.Since(t0).Seconds(), hostpar.Procs(opts.HostProcs))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// writeAblations prints the design-choice ablations to w, separated by blank
+// lines.
+func writeAblations(w io.Writer, sc figures.Scale) error {
+	if _, err := figures.AblateCriteria(w); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	if _, err := figures.AblateStealPolicy(w, sc); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	if _, err := figures.SpaceBound(w, sc); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	_, err := figures.AblateSegmentedStacks(w)
+	return err
 }

@@ -1,9 +1,8 @@
 // Package advprog generates adversarial fork-tree programs for the
 // stack-safety harness: hostile-but-well-formed programs that attack the
 // frame discipline the way "Formalizing Stack Safety as a Security
-// Property" attacks calling conventions. Where randprog exercises the happy
-// path, advprog concentrates the shapes most likely to break frame
-// retention: fork nests at least 64 levels deep, epilogue races (a child
+// Property" attacks calling conventions. It concentrates the shapes most
+// likely to break frame retention: fork nests at least 64 levels deep, epilogue races (a child
 // finishing at the exact pick its parent's frame retires), args-region edge
 // sizes (0-, 1- and 12-argument calls, the register-window spill boundary),
 // reuse-after-retire probes (reads of dead frame slots below the stack
@@ -14,6 +13,10 @@
 // frame-confidentiality rules watch the resulting taint map, so any program
 // that manages to read or clobber another frame's retained state fails the
 // run with a typed violation instead of silently corrupting the result.
+//
+// With BlockStorm alone it generates a plain fork tree (random fan-out,
+// compute and forced suspensions, no attack constructs), the happy-path
+// program the machine and scheduler property tests run.
 //
 // The generator is deterministic in (seed, classes): a failing fuzz input
 // reproduces exactly from its two numbers.

@@ -21,6 +21,43 @@ func TestFromSeedDeterministic(t *testing.T) {
 	}
 }
 
+// TestFromSeedNodeCounts pins the plain trees (BlockStorm alone) that the
+// machine and scheduler random-tree tests run: exact node count and expected
+// result per seed. A generator change that grows, shrinks or reshapes those
+// trees shifts these numbers and fails here.
+func TestFromSeedNodeCounts(t *testing.T) {
+	cases := []struct {
+		seed     uint64
+		nodes    int
+		expected int64
+	}{
+		{seed: 1, nodes: 1, expected: 8},
+		{seed: 2, nodes: 9, expected: 108},
+		{seed: 3, nodes: 1, expected: 8},
+		{seed: 4, nodes: 4, expected: 45},
+		{seed: 5, nodes: 1, expected: 8},
+		{seed: 6, nodes: 1, expected: 15},
+	}
+	var count func(n *Node) int
+	count = func(n *Node) int {
+		total := 1
+		for _, c := range n.Children {
+			total += count(c)
+		}
+		return total
+	}
+	for _, c := range cases {
+		p := FromSeed(c.seed, BlockStorm)
+		if p.Nodes != c.nodes || p.Expected() != c.expected {
+			t.Errorf("seed %d: %d nodes, expected %d; want %d nodes, expected %d",
+				c.seed, p.Nodes, p.Expected(), c.nodes, c.expected)
+		}
+		if got := count(p.Root); got != p.Nodes {
+			t.Errorf("seed %d: reported count %d != tree walk %d", c.seed, p.Nodes, got)
+		}
+	}
+}
+
 // TestDeepNestDepth: the DeepNest class must emit fork chains of at least
 // MinNestDepth levels.
 func TestDeepNestDepth(t *testing.T) {

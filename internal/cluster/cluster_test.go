@@ -626,7 +626,7 @@ func TestUnknownAppRejectedThroughNode(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("headers %v: status = %d, body %s", hdr, resp.StatusCode, body)
 		}
-		var ev errView
+		var ev server.ErrorView
 		if err := json.Unmarshal(body, &ev); err != nil {
 			t.Fatal(err)
 		}
@@ -663,7 +663,7 @@ func TestRemovedEngineRejectedThroughNode(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("%s headers %v: status = %d, body %s", body, hdr, resp.StatusCode, out)
 			}
-			var ev errView
+			var ev server.ErrorView
 			if err := json.Unmarshal(out, &ev); err != nil {
 				t.Fatal(err)
 			}

@@ -304,18 +304,6 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-type errView struct {
-	Error string `json:"error"`
-}
-
 // handleSubmit routes a submission: forwarded or locally-owned requests are
 // served by the wrapped server; anything else is proxied to the ring owner
 // of the job's canonical tuple, with failover to local serving when the
@@ -324,19 +312,19 @@ type errView struct {
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errView{Error: "bad request body: " + err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorView{Error: "bad request body: " + err.Error()})
 		return
 	}
 	var req server.JobRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errView{Error: "bad request body: " + err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorView{Error: "bad request body: " + err.Error()})
 		return
 	}
 	norm, err := req.Normalized()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errView{Error: err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorView{Error: err.Error()})
 		return
 	}
 	traceID := r.Header.Get(server.TraceHeader)
@@ -434,7 +422,7 @@ func (n *Node) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Draining:    v.Draining,
 		SnapVersion: snapshot.FormatVersion,
 	}
-	writeJSON(w, http.StatusOK, info)
+	server.WriteJSON(w, http.StatusOK, info)
 }
 
 // handleSteal is the victim side: suspend one running job at its next pick
@@ -455,14 +443,14 @@ func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 		// round stale; re-check surplus at grant time so a node never
 		// gives away its last running job to a peer that will only be
 		// robbed of it in turn.
-		writeJSON(w, http.StatusNotFound, errView{Error: server.ErrNoStealable.Error()})
+		server.WriteJSON(w, http.StatusNotFound, server.ErrorView{Error: server.ErrNoStealable.Error()})
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	defer cancel()
 	j, claim, enc, err := n.srv.StealOne(ctx)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errView{Error: err.Error()})
+		server.WriteJSON(w, http.StatusNotFound, server.ErrorView{Error: err.Error()})
 		return
 	}
 	w.Header().Set(server.TraceHeader, j.TraceID())
@@ -472,7 +460,7 @@ func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 	if j.Req.MaxWorkCycles > 0 {
 		w.Header().Set(HeaderBudget, strconv.FormatInt(j.Req.MaxWorkCycles, 10))
 	}
-	writeJSON(w, http.StatusOK, StealGrant{
+	server.WriteJSON(w, http.StatusOK, StealGrant{
 		Job: j.ID, Claim: claim, TraceID: j.TraceID(), Req: j.Req, Snapshot: enc,
 	})
 }
@@ -481,19 +469,19 @@ func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var c Completion
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&c); err != nil {
-		writeJSON(w, http.StatusBadRequest, errView{Error: "bad completion body: " + err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorView{Error: "bad completion body: " + err.Error()})
 		return
 	}
 	switch err := n.srv.CompleteStolen(c.Job, c.Claim, c.Output); {
 	case err == nil:
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+		server.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	case errors.Is(err, server.ErrNoJob):
-		writeJSON(w, http.StatusNotFound, errView{Error: err.Error()})
+		server.WriteJSON(w, http.StatusNotFound, server.ErrorView{Error: err.Error()})
 	case errors.Is(err, server.ErrBadClaim):
 		// At-most-once: the claim was spent, expired or never issued.
-		writeJSON(w, http.StatusConflict, errView{Error: err.Error()})
+		server.WriteJSON(w, http.StatusConflict, server.ErrorView{Error: err.Error()})
 	default:
-		writeJSON(w, http.StatusBadRequest, errView{Error: err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorView{Error: err.Error()})
 	}
 }
 
@@ -501,7 +489,7 @@ func (n *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
 // view: membership, per-job shard ownership, traffic counters.
 func (n *Node) handleDebug(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
-	writeJSON(w, http.StatusOK, n.DebugSnapshot())
+	server.WriteJSON(w, http.StatusOK, n.DebugSnapshot())
 }
 
 // DebugSnapshot builds the cluster-decorated debug view.

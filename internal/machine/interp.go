@@ -31,8 +31,8 @@ func (w *Worker) fail(pc int64, format string, args ...any) {
 //
 // The loop is driven by the flat decode cache (decode.go): one entry per pc
 // holding the resolved opcode cost, registers, procedure descriptor, call
-// adjustments and straight-line run metadata. When tracing is off, runs of
-// straightline instructions execute as a batch (runBlock) with cycles
+// adjustments and straight-line run metadata. Unless NoFastPath is set, runs
+// of straightline instructions execute as a batch (runBlock) with cycles
 // charged in bulk and the budget checked only at run boundaries; the batch
 // is entered only when the whole run fits under the deadline, so EvBudget
 // fires at the identical instruction either way. With observability
@@ -61,14 +61,14 @@ func (w *Worker) Run(budget int64) (ev Event) {
 
 	dec := w.M.dec
 	// The batched fast path executes with deferred state writes, so it
-	// requires an execution environment with no per-instruction side
-	// channel: no tracing. Observability is compatible because its only
-	// per-instruction work inside a straight-line run is bulk-chargeable
-	// (the run's epilogue-check cost, runCheckCost) and its sampler is
-	// honored as a second deadline (ob.NextSample below). Everything the
-	// batch skips is observationally redundant, so turning it off
-	// (NoFastPath) changes nothing but host speed.
-	fast := !w.M.Opts.NoFastPath && w.M.Opts.Trace == nil
+	// requires that nothing observe state between the instructions of a
+	// run. Observability is compatible because its only per-instruction
+	// work inside a straight-line run is bulk-chargeable (the run's
+	// epilogue-check cost, runCheckCost) and its sampler is honored as a
+	// second deadline (ob.NextSample below). Everything the batch skips is
+	// observationally redundant, so turning it off (NoFastPath) changes
+	// nothing but host speed.
+	fast := !w.M.Opts.NoFastPath
 	ob := w.Obs
 
 	for {
@@ -97,10 +97,6 @@ func (w *Worker) Run(budget int64) (ev Event) {
 			continue
 		}
 
-		if w.M.Opts.Trace != nil {
-			fmt.Fprintf(w.M.Opts.Trace, "w%d %8d pc=%-5d sp=%-8d fp=%-8d rv=%-6d %v\n",
-				w.ID, w.Cycles, pc, w.Regs[isa.SP], w.Regs[isa.FP], w.Regs[isa.RV], w.M.Prog.Code[pc])
-		}
 		w.Stats.Instrs++
 		w.Cycles += int64(d.cost)
 		if ob != nil {
@@ -279,7 +275,7 @@ func (w *Worker) magicPC(pc int64) (Event, bool) {
 // starting at pc `start` as one batch: registers and memory update in place,
 // but PC, cycles and the instruction count are written once at the end. The
 // caller has already verified the entire run fits under the budget deadline
-// (and before the next profiler sample) and that tracing is off, and
+// (and before the next profiler sample) and that NoFastPath is unset, and
 // straightline instructions cannot branch or reach the runtime, so no
 // per-instruction checks are needed and memory is accessed directly through
 // the page table with an inline guard check. The table is fetched once per

@@ -97,9 +97,6 @@ type Options struct {
 	CilkCost bool
 	// Out receives output from the print builtins; nil discards it.
 	Out io.Writer
-	// Trace, when non-nil, receives one line per executed instruction
-	// (debugging only).
-	Trace io.Writer
 	// Seed initializes the deterministic PRNG behind the rand builtin.
 	Seed uint64
 	// Obs, when non-nil, attaches the observability layer: cycle-phase

@@ -7,11 +7,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/advprog"
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/invariant"
 	"repro/internal/obs"
-	"repro/internal/randprog"
 	"repro/internal/sched"
 	"repro/internal/snapshot"
 )
@@ -187,21 +187,29 @@ func TestRoundTripMatrix(t *testing.T) {
 	}
 }
 
-// TestRoundTripRandprog runs generated random fork trees — forced blocking
-// suspensions, random fan-out and compute — through the same property.
+// TestRoundTripRandprog runs generated plain fork trees (advprog with only
+// the BlockStorm class: forced blocking suspensions, random fan-out and
+// compute) through the same property.
 func TestRoundTripRandprog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("round-trip fuzz")
 	}
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		root, _ := randprog.Generate(rng, 30)
-		want := randprog.Expected(root)
-		mk := func() *apps.Workload { return randprog.Workload(root) }
+		p := advprog.FromSeed(uint64(seed), advprog.BlockStorm)
+		want := p.Expected()
+		mk := func() *apps.Workload { return advprog.Workload(p) }
 		workers := 2 + int(seed%3)
 		undisturbed := runEngine(t, mk, core.StackThreads, workers, uint64(seed))
 		if undisturbed.res.RV != want {
 			t.Fatalf("seed %d: undisturbed acc=%d want %d", seed, undisturbed.res.RV, want)
+		}
+		var suspends int64
+		for _, st := range undisturbed.res.Stats {
+			suspends += st.Suspends
+		}
+		if suspends == 0 {
+			t.Fatalf("seed %d: no suspensions; the tree forced no blocking", seed)
 		}
 		picks := undisturbed.res.Picks
 		for i := 0; i < 2; i++ {

@@ -145,7 +145,10 @@ func noStore(w http.ResponseWriter) {
 	w.Header().Set("Cache-Control", "no-store")
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the indented JSON body of a response with the given
+// status. Every JSON response of the server and of a cluster node goes
+// through it, so their bytes agree.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -153,7 +156,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-type errView struct {
+// ErrorView is the JSON body of every error response.
+type ErrorView struct {
 	Error   string `json:"error"`
 	Failure string `json:"failure,omitempty"`
 }
@@ -163,7 +167,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errView{Error: "bad request body: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorView{Error: "bad request body: " + err.Error()})
 		return
 	}
 	j, err := s.SubmitTrace(req, r.Header.Get(TraceHeader))
@@ -173,18 +177,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Load shedding: the breaker says the host is sick; tell the
 		// client exactly how long to back off.
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(shed.RetryAfter)))
-		writeJSON(w, http.StatusServiceUnavailable, errView{Error: err.Error(), Failure: FailShed})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorView{Error: err.Error(), Failure: FailShed})
 		return
 	case errors.Is(err, ErrDraining):
-		writeJSON(w, http.StatusServiceUnavailable, errView{Error: err.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorView{Error: err.Error()})
 		return
 	case errors.Is(err, ErrQueueFull):
 		// Backpressure: tell closed-loop clients when to come back.
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errView{Error: err.Error()})
+		WriteJSON(w, http.StatusTooManyRequests, ErrorView{Error: err.Error()})
 		return
 	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errView{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorView{Error: err.Error()})
 		return
 	}
 	w.Header().Set(TraceHeader, j.TraceID())
@@ -194,19 +198,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			// The client went away; the job stays accepted and keeps
 			// running (it is cheap, deterministic, and cacheable).
-			writeJSON(w, http.StatusAccepted, s.view(j))
+			WriteJSON(w, http.StatusAccepted, s.view(j))
 			return
 		}
-		writeJSON(w, http.StatusOK, s.view(j))
+		WriteJSON(w, http.StatusOK, s.view(j))
 		return
 	}
-	writeJSON(w, http.StatusAccepted, s.view(j))
+	WriteJSON(w, http.StatusAccepted, s.view(j))
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	j, err := s.Job(r.PathValue("id"))
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errView{Error: err.Error()})
+		WriteJSON(w, http.StatusNotFound, ErrorView{Error: err.Error()})
 		return
 	}
 	w.Header().Set(TraceHeader, j.TraceID())
@@ -217,17 +221,17 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, s.view(j))
+	WriteJSON(w, http.StatusOK, s.view(j))
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, err := s.Cancel(r.PathValue("id"))
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errView{Error: err.Error()})
+		WriteJSON(w, http.StatusNotFound, ErrorView{Error: err.Error()})
 		return
 	}
 	w.Header().Set(TraceHeader, j.TraceID())
-	writeJSON(w, http.StatusOK, s.view(j))
+	WriteJSON(w, http.StatusOK, s.view(j))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -237,13 +241,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// Prometheus text exposition, version 0.0.4.
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := s.met.WritePrometheus(w, "st"); err != nil {
-			writeJSON(w, http.StatusInternalServerError, errView{Error: err.Error()})
+			WriteJSON(w, http.StatusInternalServerError, ErrorView{Error: err.Error()})
 		}
 		return
 	}
 	b, err := s.met.MarshalJSON()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errView{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorView{Error: err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -252,10 +256,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDebugJobs(w http.ResponseWriter, _ *http.Request) {
 	noStore(w)
-	writeJSON(w, http.StatusOK, s.DebugSnapshot())
+	WriteJSON(w, http.StatusOK, s.DebugSnapshot())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	noStore(w)
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "draining": s.Draining()})
+	WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "draining": s.Draining()})
 }

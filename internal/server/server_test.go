@@ -124,7 +124,7 @@ func TestRemovedEngineRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ev errView
+		var ev ErrorView
 		err = json.NewDecoder(resp.Body).Decode(&ev)
 		resp.Body.Close()
 		if err != nil {

@@ -91,7 +91,7 @@ func TestUnknownAppRejectedOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ev errView
+	var ev ErrorView
 	err = json.NewDecoder(resp.Body).Decode(&ev)
 	resp.Body.Close()
 	if err != nil {
