@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/figures"
 	"repro/internal/obs"
@@ -47,22 +46,14 @@ func main() {
 	if *full {
 		sc = figures.Full
 	}
-	variant := apps.ST
-	c := obs.New()
-	c.SamplePeriod = *sample
-	cfg := core.Config{Workers: *workers, Seed: *seed, Obs: c}
-	switch *mode {
-	case "seq":
-		variant = apps.Seq
-		cfg.Mode = core.Sequential
-	case "st":
-		cfg.Mode = core.StackThreads
-	case "cilk":
-		cfg.Mode = core.Cilk
-	default:
-		fmt.Fprintf(os.Stderr, "stprof: unknown mode %q\n", *mode)
+	runMode, variant, err := core.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "stprof:", err)
 		os.Exit(2)
 	}
+	c := obs.New()
+	c.SamplePeriod = *sample
+	cfg := core.Config{Mode: runMode, Workers: *workers, Seed: *seed, Obs: c}
 
 	w, err := figures.Workload(*app, sc, variant)
 	if err != nil {
@@ -76,7 +67,7 @@ func main() {
 	}
 
 	fmt.Printf("app=%s mode=%s workers=%d seed=%d: result %d in %d cycles (%d work, %d steals)\n\n",
-		*app, *mode, *workers, *seed, res.RV, res.Time, res.WorkCycles, res.Steals)
+		*app, *mode, len(res.Stats), *seed, res.RV, res.Time, res.WorkCycles, res.Steals)
 	c.WriteReport(os.Stdout)
 	fmt.Println()
 	c.WriteTop(os.Stdout, *top)

@@ -70,7 +70,6 @@ func main() {
 	if n := auditCadence(*auditEvery, *audit); n > 0 {
 		aud = invariant.New(n)
 	}
-	variant := apps.ST
 	cfg := core.Config{
 		Workers:         *workers,
 		CPU:             isa.CostModelByName(*cpu),
@@ -81,16 +80,9 @@ func main() {
 		Audit:           aud,
 		Out:             os.Stdout,
 	}
-	switch *mode {
-	case "seq":
-		variant = apps.Seq
-		cfg.Mode = core.Sequential
-	case "st":
-		cfg.Mode = core.StackThreads
-	case "cilk":
-		cfg.Mode = core.Cilk
-	default:
-		fmt.Fprintf(os.Stderr, "strun: unknown mode %q\n", *mode)
+	var variant apps.Variant
+	if cfg.Mode, variant, err = core.ParseMode(*mode); err != nil {
+		fmt.Fprintln(os.Stderr, "strun:", err)
 		os.Exit(2)
 	}
 	if cfg.CPU == nil {
@@ -117,7 +109,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "strun:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("app=%s mode=%s workers=%d cpu=%s\n", *app, *mode, *workers, *cpu)
+	fmt.Printf("app=%s mode=%s workers=%d cpu=%s\n", *app, *mode, len(res.Stats), *cpu)
 	fmt.Printf("result        %d (verified)\n", res.RV)
 	fmt.Printf("elapsed       %d cycles\n", res.Time)
 	fmt.Printf("host          %.3fs wall-clock (%.1f Mcycles/s)\n",

@@ -12,6 +12,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/postproc"
+	"repro/internal/sched"
 )
 
 // The sequential kernels inside the benchmarks (insertion sort, merge, the
@@ -30,11 +31,11 @@ func runKernel(t *testing.T, entry string, setup func(m *mem.Memory) []int64, ch
 	mm := mem.New(1 << 14)
 	args := setup(mm)
 	m := machine.New(prog, mm, isa.X86(), 1, machine.Options{StackWords: 1 << 12})
-	rv, err := m.RunSingle(entry, args...)
+	res, err := sched.Run(m, entry, args, sched.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := check(mm, rv); err != nil {
+	if err := check(mm, res.RV); err != nil {
 		t.Fatal(err)
 	}
 }

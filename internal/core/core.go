@@ -32,8 +32,9 @@ type Mode int
 
 // Execution regimes.
 const (
-	// Sequential runs on one worker with no thread runtime involvement
-	// (pair with a Seq-variant workload for the "C" baseline).
+	// Sequential runs on the scheduler with exactly one worker, so the
+	// thread runtime never steals (pair with a Seq-variant workload for the
+	// "C" baseline).
 	Sequential Mode = iota
 	// StackThreads runs the StackThreads/MP runtime (LTC scheduling,
 	// polling migration protocol).
@@ -54,10 +55,27 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
+// ParseMode maps a mode name — "seq", "st" or "cilk" — onto the execution
+// regime and the workload variant it runs: seq runs the sequential elision,
+// st and cilk the StackThreads build.
+func ParseMode(name string) (Mode, apps.Variant, error) {
+	switch name {
+	case "seq":
+		return Sequential, apps.Seq, nil
+	case "st":
+		return StackThreads, apps.ST, nil
+	case "cilk":
+		return Cilk, apps.ST, nil
+	}
+	return 0, 0, fmt.Errorf("unknown mode %q (want seq, st or cilk)", name)
+}
+
 // Config parameterizes a run. The zero value means: sequential, one worker,
 // SPARC cost model, default sizes.
 type Config struct {
-	Mode    Mode
+	Mode Mode
+	// Workers is the virtual CPU count (default 1; Sequential always runs
+	// one).
 	Workers int
 	// CPU is the cost model (default isa.SPARC()).
 	CPU *isa.CostModel
@@ -70,7 +88,8 @@ type Config struct {
 	// Seed drives every pseudo-random choice; equal seeds reproduce runs
 	// exactly.
 	Seed uint64
-	// Quantum is the scheduler slice in cycles.
+	// Quantum is the scheduler slice in cycles (default 200, and
+	// seqQuantum in Sequential mode).
 	Quantum int64
 	// MaxWorkCycles, when positive, bounds the run's total work (summed
 	// worker cycle counters); exceeding it aborts with an error matching
@@ -79,9 +98,9 @@ type Config struct {
 	// tuple always aborts at the same point.
 	MaxWorkCycles int64
 	// Ctx, when non-nil, cancels the run cooperatively: the scheduler polls
-	// it at every pick (and the sequential baseline between slices) and
-	// aborts with the context's error once done. Cancellation affects only
-	// whether a run finishes, never the bytes a finished run produces.
+	// it at every pick and aborts with the context's error once done.
+	// Cancellation affects only whether a run finishes, never the bytes a
+	// finished run produces.
 	Ctx context.Context
 	// StealYoungest switches the ST steal policy from Lazy Task Creation's
 	// steal-oldest to the steal-youngest ablation.
@@ -101,9 +120,8 @@ type Config struct {
 	// hook site.
 	Fault *fault.Injector
 	// Audit, when non-nil, runs the live Section 3.2 invariant auditor at
-	// scheduler pick boundaries (and between sequential slices); a
-	// violation aborts the run with a typed *invariant.Violation.
-	// Auditing never changes a run's bytes.
+	// scheduler pick boundaries; a violation aborts the run with a typed
+	// *invariant.Violation. Auditing never changes a run's bytes.
 	Audit *invariant.Auditor
 	// Canary, when non-nil, arms the adversarial stack-safety harness: the
 	// canary builtins register per-frame words here and the auditor's
@@ -112,17 +130,16 @@ type Config struct {
 	Canary *machine.CanaryMap
 	// Progress, when non-nil, receives a live host-visible view of the
 	// run's advancement (work cycles, picks), updated at scheduler pick
-	// boundaries (and between sequential slices). Read concurrently by
-	// serving-side introspection; never changes a run's bytes.
+	// boundaries. Read concurrently by serving-side introspection; never
+	// changes a run's bytes.
 	Progress *obs.Progress
 	// Contention, when non-nil, collects host-side execution counters (the
 	// batched-tier residency). Diagnostics only, never part of a
 	// deterministic artifact.
 	Contention *sched.Contention
 	// Checkpoint, when non-nil, enables pick-boundary continuation capture
-	// (periodic checkpoints and cooperative yields) in the scheduled modes;
-	// see sched.Checkpoint. Sequential mode has no scheduler and is not
-	// checkpointable — setting this with Mode Sequential fails the run.
+	// (periodic checkpoints and cooperative yields) in every mode; see
+	// sched.Checkpoint.
 	Checkpoint *sched.Checkpoint
 	// Out receives simulated program output (print builtins).
 	Out io.Writer
@@ -132,6 +149,11 @@ type Config struct {
 	OmitFP     bool
 	LockedLib  bool
 }
+
+// seqQuantum is the Sequential mode's default slice. Its lone worker never
+// re-picks against another, so the slice only paces the pick-boundary
+// services (budget, cancellation, audit, progress, checkpoints, faults).
+const seqQuantum = 10_000
 
 // ErrCycleBudget is the sentinel matched by errors.Is against
 // Config.MaxWorkCycles aborts; the concrete error is a *CycleBudgetError
@@ -169,8 +191,8 @@ type Result struct {
 	Instrs int64
 	// Steals, Attempts and Rejects describe migration activity.
 	Steals, Attempts, Rejects int64
-	// Picks is the number of scheduler pick boundaries (zero in sequential
-	// mode, which has none). Checkpoint capture points address this clock.
+	// Picks is the number of scheduler pick boundaries. Checkpoint capture
+	// points address this clock.
 	Picks int64
 	// Stats holds the per-worker counters.
 	Stats []machine.Stats
@@ -190,7 +212,10 @@ func Run(w *apps.Workload, cfg Config) (*Result, error) {
 // (resumes must reconstruct the machine exactly as the capturing run did,
 // so the checkpointed image lands on an identical layout).
 func prepare(prog *isa.Program, w *apps.Workload, cfg *Config) (*machine.Machine, []int64, error) {
-	if cfg.Workers <= 0 {
+	if cfg.Mode < Sequential || cfg.Mode > Cilk {
+		return nil, nil, fmt.Errorf("core: unknown mode %v", cfg.Mode)
+	}
+	if cfg.Workers <= 0 || cfg.Mode == Sequential {
 		cfg.Workers = 1
 	}
 	if cfg.CPU == nil {
@@ -238,11 +263,15 @@ func (cfg *Config) schedConfig() sched.Config {
 	if cfg.StealYoungest {
 		policy = sched.StealYoungest
 	}
+	quantum := cfg.Quantum
+	if quantum <= 0 && cfg.Mode == Sequential {
+		quantum = seqQuantum
+	}
 	return sched.Config{
 		Mode:          mode,
 		Policy:        policy,
 		Seed:          cfg.Seed,
-		Quantum:       cfg.Quantum,
+		Quantum:       quantum,
 		MaxWorkCycles: cfg.MaxWorkCycles,
 		Stop:          ctxStop(cfg.Ctx),
 		Obs:           cfg.Obs,
@@ -286,62 +315,12 @@ func RunProgram(prog *isa.Program, w *apps.Workload, cfg Config) (*Result, error
 		return nil, err
 	}
 
-	res := &Result{}
-	switch cfg.Mode {
-	case Sequential:
-		if cfg.Checkpoint != nil {
-			return nil, fmt.Errorf("core: checkpointing requires a scheduled mode (st or cilk); sequential runs have no pick boundaries")
-		}
-		var rv int64
-		var err error
-		if cfg.MaxWorkCycles > 0 || cfg.Ctx != nil || cfg.Audit != nil || cfg.Progress != nil {
-			// Slice the run so the budget, the context, the auditor and the
-			// progress view are serviced periodically; slicing leaves the
-			// simulation byte-identical.
-			slice := cfg.Quantum
-			if slice <= 0 {
-				slice = 10_000
-			}
-			stop := ctxStop(cfg.Ctx)
-			check := func(used int64) error {
-				if p := cfg.Progress; p != nil {
-					p.WorkCycles.Store(used)
-					p.Picks.Add(1)
-				}
-				if cfg.MaxWorkCycles > 0 && used > cfg.MaxWorkCycles {
-					return &CycleBudgetError{Budget: cfg.MaxWorkCycles, Used: used}
-				}
-				if stop != nil {
-					if err := stop(); err != nil {
-						return fmt.Errorf("core: run stopped: %w", err)
-					}
-				}
-				if v := cfg.Audit.Tick(m); v != nil {
-					return v
-				}
-				return nil
-			}
-			rv, err = m.RunSingleCheck(w.Entry, slice, check, args...)
-		} else {
-			rv, err = m.RunSingle(w.Entry, args...)
-		}
-		if err != nil {
-			return nil, err
-		}
-		wk := m.Workers[0]
-		res.RV = rv
-		res.Time = wk.Cycles
-		res.WorkCycles = wk.Cycles
-		res.Stats = []machine.Stats{wk.Stats}
-	case StackThreads, Cilk:
-		sres, err := sched.Run(m, w.Entry, args, cfg.schedConfig())
-		if err != nil {
-			return nil, err
-		}
-		res.fromSched(sres)
-	default:
-		return nil, fmt.Errorf("core: unknown mode %v", cfg.Mode)
+	sres, err := sched.Run(m, w.Entry, args, cfg.schedConfig())
+	if err != nil {
+		return nil, err
 	}
+	res := &Result{}
+	res.fromSched(sres)
 	return finishRun(m, w, &cfg, res)
 }
 
@@ -370,9 +349,6 @@ func Resume(w *apps.Workload, cfg Config, b *sched.Boundary) (*Result, error) {
 	prog, err := w.Compile()
 	if err != nil {
 		return nil, fmt.Errorf("core: compile %s/%s: %w", w.Name, w.Variant, err)
-	}
-	if cfg.Mode != StackThreads && cfg.Mode != Cilk {
-		return nil, fmt.Errorf("core: resume requires a scheduled mode (st or cilk), have %v", cfg.Mode)
 	}
 	if b == nil || b.Mach == nil || b.Sched == nil {
 		return nil, fmt.Errorf("core: resume: incomplete boundary")

@@ -12,6 +12,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // newMachine compiles fib and returns a machine that has run it to
@@ -24,7 +25,7 @@ func newMachine(t *testing.T, col *obs.Collector) *machine.Machine {
 		t.Fatal(err)
 	}
 	m := machine.New(prog, mem.New(1<<16), isa.SPARC(), 1, machine.Options{Obs: col})
-	if _, err := m.RunSingle(w.Entry, w.Args...); err != nil {
+	if _, err := sched.Run(m, w.Entry, w.Args, sched.Config{Obs: col}); err != nil {
 		t.Fatal(err)
 	}
 	return m

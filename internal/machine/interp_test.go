@@ -28,7 +28,7 @@ func evalProc(t *testing.T, body func(b *asm.B)) (int64, error) {
 		t.Fatal(err)
 	}
 	m := machine.New(prog, mem.New(256), isa.X86(), 1, machine.Options{StackWords: 1 << 10})
-	return m.RunSingle("main")
+	return runOn(m, "main")
 }
 
 func mustEval(t *testing.T, body func(b *asm.B)) int64 {
@@ -214,7 +214,7 @@ func TestStackOverflowTraps(t *testing.T) {
 		t.Fatal(err)
 	}
 	mm := machine.New(prog, mem.New(64), isa.X86(), 1, machine.Options{StackWords: 1 << 10})
-	_, err = mm.RunSingle("main")
+	_, err = runOn(mm, "main")
 	if err == nil || !strings.Contains(err.Error(), "stack overflow") {
 		t.Fatalf("err = %v", err)
 	}

@@ -8,9 +8,8 @@
 // Workers are the OS-thread analogues of the paper — each owns a physical
 // stack (a region of the shared memory), a logical stack (the chain of
 // frames reachable from its FP register), an exported set, and a ready
-// queue. The multiprocessor scheduler in package sched drives several
-// workers in virtual time; sequential experiments drive a single worker
-// directly.
+// queue. The scheduler in package sched drives the workers in virtual
+// time; sequential experiments are its one-worker case.
 package machine
 
 import (

@@ -70,7 +70,7 @@ func runLoop(b *testing.B, fork bool, n int64) float64 {
 	var perIter float64
 	for i := 0; i < b.N; i++ {
 		mm := machine.New(prog, mem.New(256), isa.SPARC(), 1, machine.Options{StackWords: 1 << 12})
-		if _, err := mm.RunSingle("bench_main", n); err != nil {
+		if _, err := runOn(mm, "bench_main", n); err != nil {
 			b.Fatal(err)
 		}
 		perIter = float64(mm.Workers[0].Cycles) / float64(n)
@@ -167,7 +167,7 @@ func BenchmarkEpilogueCheck(b *testing.B) {
 			b.Fatal(err)
 		}
 		mm := machine.New(prog, mem.New(64), isa.SPARC(), 1, machine.Options{StackWords: 1 << 12})
-		if _, err := mm.RunSingle("bench_main", int64(n)); err != nil {
+		if _, err := runOn(mm, "bench_main", int64(n)); err != nil {
 			b.Fatal(err)
 		}
 		return float64(mm.Workers[0].Cycles) / n

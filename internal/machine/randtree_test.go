@@ -18,6 +18,17 @@ import (
 // blocking suspensions but no attack constructs. They run through the whole
 // pipeline on several worker counts with the invariant checker on.
 
+// The sweeps' seed ranges are sized so their trees sum to at least the
+// node counts the deleted randprog generator's sweeps covered; each test
+// asserts its sum, so a generator that shrinks its trees fails here.
+const (
+	// lockstepSeeds trees (seed^0x5eed), less the blocker-free ones, sum
+	// to at least lockstepNodes nodes.
+	lockstepSeeds, lockstepNodes = 36, 122
+	// forkTreeSeeds trees sum to at least forkTreeNodes nodes.
+	forkTreeSeeds, forkTreeNodes = 68, 296
+)
+
 // plainTree generates the plain fork tree for seed and returns it with its
 // expected result and its blocker count. Each blocker parks on a gate its
 // parent has not yet opened, so every run must suspend at least that often.
@@ -44,9 +55,7 @@ func TestRandomTreesFastPathCycleExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz")
 	}
-	for seed := int64(0); seed < 10; seed++ {
-		lockstepRandomTree(t, seed, false, false)
-	}
+	lockstepSweep(t, false, false)
 }
 
 // TestRandomTreesFastPathObsExact is the same property with an
@@ -60,18 +69,34 @@ func TestRandomTreesFastPathObsExact(t *testing.T) {
 		t.Skip("fuzz")
 	}
 	for _, cilk := range []bool{false, true} {
-		for seed := int64(0); seed < 10; seed++ {
-			lockstepRandomTree(t, seed, cilk, true)
-		}
+		lockstepSweep(t, cilk, true)
+	}
+}
+
+// lockstepSweep runs lockstepRandomTree over the lockstep seed range and
+// checks the trees it ran cover at least lockstepNodes nodes.
+func lockstepSweep(t *testing.T, cilk, withObs bool) {
+	t.Helper()
+	nodes := 0
+	for seed := int64(0); seed < lockstepSeeds; seed++ {
+		nodes += lockstepRandomTree(t, seed, cilk, withObs)
+	}
+	if nodes < lockstepNodes {
+		t.Fatalf("cilk=%v obs=%v: trees cover %d nodes, want at least %d", cilk, withObs, nodes, lockstepNodes)
 	}
 }
 
 // lockstepRandomTree runs one random fork tree on a fast-path and a
 // NoFastPath single-worker machine in 97-cycle slices and fails at the
-// first boundary where their states differ.
-func lockstepRandomTree(t *testing.T, seed int64, cilk, withObs bool) {
+// first boundary where their states differ. It returns the tree's node
+// count, or 0 for a tree with no blocker: that tree forces no suspension,
+// so it is not run.
+func lockstepRandomTree(t *testing.T, seed int64, cilk, withObs bool) int {
 	t.Helper()
 	p, want, blockers := plainTree(uint64(seed ^ 0x5eed))
+	if blockers == 0 {
+		return 0
+	}
 	w := advprog.Workload(p)
 	prog, err := w.Compile()
 	if err != nil {
@@ -160,8 +185,8 @@ lockstep:
 	if wf.Regs[isa.RV] != want || ws.Regs[isa.RV] != want {
 		t.Fatalf("seed %d: acc fast=%d slow=%d want %d", seed, wf.Regs[isa.RV], ws.Regs[isa.RV], want)
 	}
-	if wf.Stats.Suspends < blockers || blockers == 0 {
-		t.Fatalf("seed %d cilk=%v: %d suspensions for %d blockers; want at least one per blocker and some blocker",
+	if wf.Stats.Suspends < blockers {
+		t.Fatalf("seed %d cilk=%v: %d suspensions for %d blockers; want at least one per blocker",
 			seed, cilk, wf.Stats.Suspends, blockers)
 	}
 	if wf.BatchedCycles() == 0 || ws.BatchedCycles() != 0 {
@@ -171,14 +196,17 @@ lockstep:
 	if withObs && !cilk && wf.Obs.Phase[obs.PhaseEpilogue] == 0 {
 		t.Fatalf("seed %d: no epilogue-check cycles attributed; the tree never ran an augmented epilogue", seed)
 	}
+	return p.Nodes
 }
 
 func TestRandomForkTrees(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz")
 	}
-	for seed := int64(0); seed < 25; seed++ {
+	nodes := 0
+	for seed := int64(0); seed < forkTreeSeeds; seed++ {
 		p, want, blockers := plainTree(uint64(seed))
+		nodes += p.Nodes
 		w := advprog.Workload(p)
 
 		for _, workers := range []int{1, 3, 7} {
@@ -215,5 +243,8 @@ func TestRandomForkTrees(t *testing.T) {
 		if res.RV != want {
 			t.Fatalf("seed %d segmented: acc=%d want %d", seed, res.RV, want)
 		}
+	}
+	if nodes < forkTreeNodes {
+		t.Fatalf("trees cover %d nodes, want at least %d", nodes, forkTreeNodes)
 	}
 }

@@ -80,7 +80,7 @@ func TestCalleeSavesAcrossSuspendResume(t *testing.T) {
 	mach := machine.New(prog, mm, isa.SPARC(), 1, machine.Options{
 		StackWords: 1 << 12, CheckInvariants: true,
 	})
-	if _, err := mach.RunSingle(stlib.ProcBoot, out); err != nil {
+	if _, err := runOn(mach, stlib.ProcBoot, out); err != nil {
 		t.Fatal(err)
 	}
 	for i := 2; i < isa.NumCalleeSave; i++ {
@@ -153,7 +153,7 @@ func TestCalleeSavesAcrossRestartThunk(t *testing.T) {
 	mach := machine.New(prog, mm, isa.SPARC(), 1, machine.Options{
 		StackWords: 1 << 12, CheckInvariants: true,
 	})
-	if _, err := mach.RunSingle("main", ctx, out); err != nil {
+	if _, err := runOn(mach, "main", ctx, out); err != nil {
 		t.Fatal(err)
 	}
 	for i := 2; i < isa.NumCalleeSave; i++ {

@@ -7,7 +7,18 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/sched"
 )
+
+// runOn runs entry(args...) on the scheduler over m and returns the
+// program's result.
+func runOn(m *machine.Machine, entry string, args ...int64) (int64, error) {
+	res, err := sched.Run(m, entry, args, sched.Config{})
+	if err != nil {
+		return 0, err
+	}
+	return res.RV, nil
+}
 
 // runSingle compiles and runs a workload on one worker with the invariant
 // checker on.
@@ -28,7 +39,7 @@ func runSingle(t *testing.T, w *apps.Workload) (int64, *machine.Machine) {
 			t.Fatalf("setup %s: %v", w.Name, err)
 		}
 	}
-	rv, err := m.RunSingle(w.Entry, args...)
+	rv, err := runOn(m, w.Entry, args...)
 	if err != nil {
 		t.Fatalf("run %s/%s: %v", w.Name, w.Variant, err)
 	}

@@ -85,7 +85,7 @@ func runScenario(t *testing.T, procs []*isa.Proc, popt postproc.Options, mopt ma
 		mopt.StackWords = 1 << 12
 	}
 	m := machine.New(prog, mm, isa.SPARC(), 1, mopt)
-	return m.RunSingle("main", env)
+	return runOn(m, "main", env)
 }
 
 func TestSubtleCaseRestartExportsCurrentFrame(t *testing.T) {

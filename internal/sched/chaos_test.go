@@ -211,3 +211,43 @@ func TestChaosBudgetAbortTyped(t *testing.T) {
 		t.Fatalf("budget abort not typed: %v", err)
 	}
 }
+
+// TestSequentialStallsInject: Sequential runs on the scheduler like every
+// other mode, so a stall-bearing plan injects into it, replays
+// byte-identically, and leaves the answer alone.
+func TestSequentialStallsInject(t *testing.T) {
+	plan, err := fault.PlanByName("stalls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Seed = 1
+	mk := func() *apps.Workload { return apps.Fib(20, apps.Seq) }
+	run := func(p *fault.Plan) (diffRun, *fault.Injector) {
+		var out bytes.Buffer
+		c := obs.New()
+		cfg := core.Config{Mode: core.Sequential, Obs: c, Out: &out,
+			Audit: invariant.New(8), Fault: fault.New(p)}
+		res, err := core.Run(mk(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return diffRun{res: res, out: out.Bytes(), obs: obsDump(c), timeline: timelineDump(c)}, cfg.Fault
+	}
+	clean, _ := run(nil)
+	p := plan
+	first, inj := run(&p)
+	stalls := inj.Counts()["stall"]
+	if stalls == 0 {
+		t.Fatal("stalls plan injected nothing into a sequential run")
+	}
+	if first.res.RV != clean.res.RV {
+		t.Fatalf("stalls changed the answer: %d vs %d", first.res.RV, clean.res.RV)
+	}
+	if want := clean.res.Time + stalls*plan.StallCycles; first.res.Time != want {
+		t.Fatalf("time %d, want %d (clean %d + %d stalls × %d)",
+			first.res.Time, want, clean.res.Time, stalls, plan.StallCycles)
+	}
+	p = plan
+	again, _ := run(&p)
+	diffCompare(t, "sequential stalls rerun", first, again)
+}

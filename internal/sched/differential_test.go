@@ -27,23 +27,24 @@ func diffSeeds() []uint64 {
 	return seeds
 }
 
-// diffWorkloads builds one small instance of every apps workload.
-func diffWorkloads() []func() *apps.Workload {
-	return []func() *apps.Workload{
-		func() *apps.Workload { return apps.Fib(12, apps.ST) },
-		func() *apps.Workload { return apps.PingPong(12, apps.ST) },
-		func() *apps.Workload { return apps.NQueens(6, apps.ST) },
-		func() *apps.Workload { return apps.TreeAdd(6, apps.ST) },
-		func() *apps.Workload { return apps.Staircase(6, 8) },
-		func() *apps.Workload { return apps.Cilksort(64, apps.ST, 5) },
-		func() *apps.Workload { return apps.FFT(64, apps.ST, 3) },
-		func() *apps.Workload { return apps.Heat(8, 8, 4, apps.ST, 2) },
-		func() *apps.Workload { return apps.Knapsack(10, 50, apps.ST, 7) },
-		func() *apps.Workload { return apps.LU(8, apps.ST, 4) },
-		func() *apps.Workload { return apps.Magic(apps.ST, 11) },
-		func() *apps.Workload { return apps.Notempmul(8, apps.ST, 6) },
-		func() *apps.Workload { return apps.Blockedmul(8, apps.ST, 6) },
-		func() *apps.Workload { return apps.Spacemul(8, apps.ST, 6) },
+// diffWorkloads builds one small instance of every apps workload in the
+// given variant (staircase has only an ST build).
+func diffWorkloads() []func(apps.Variant) *apps.Workload {
+	return []func(apps.Variant) *apps.Workload{
+		func(v apps.Variant) *apps.Workload { return apps.Fib(12, v) },
+		func(v apps.Variant) *apps.Workload { return apps.PingPong(12, v) },
+		func(v apps.Variant) *apps.Workload { return apps.NQueens(6, v) },
+		func(v apps.Variant) *apps.Workload { return apps.TreeAdd(6, v) },
+		func(apps.Variant) *apps.Workload { return apps.Staircase(6, 8) },
+		func(v apps.Variant) *apps.Workload { return apps.Cilksort(64, v, 5) },
+		func(v apps.Variant) *apps.Workload { return apps.FFT(64, v, 3) },
+		func(v apps.Variant) *apps.Workload { return apps.Heat(8, 8, 4, v, 2) },
+		func(v apps.Variant) *apps.Workload { return apps.Knapsack(10, 50, v, 7) },
+		func(v apps.Variant) *apps.Workload { return apps.LU(8, v, 4) },
+		func(v apps.Variant) *apps.Workload { return apps.Magic(v, 11) },
+		func(v apps.Variant) *apps.Workload { return apps.Notempmul(8, v, 6) },
+		func(v apps.Variant) *apps.Workload { return apps.Blockedmul(8, v, 6) },
+		func(v apps.Variant) *apps.Workload { return apps.Spacemul(8, v, 6) },
 	}
 }
 
@@ -157,36 +158,51 @@ func diffCompare(t *testing.T, ctx string, want, got diffRun) {
 // the invariant checker on. The obs sampler is a batching deadline, so the
 // legs split straight-line runs at different points and take different
 // paths through the batched tier: the matrix checks that observation never
-// changes a run.
+// changes a run. Sequential mode runs the sequential elision on one worker.
 func TestEngineDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix")
 	}
+	type leg struct {
+		mode    core.Mode
+		workers int
+	}
+	var legs []leg
+	for _, mode := range []core.Mode{core.StackThreads, core.Cilk} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			legs = append(legs, leg{mode, workers})
+		}
+	}
+	legs = append(legs, leg{core.Sequential, 1})
 	seeds := diffSeeds()
-	for wi, mk := range diffWorkloads() {
-		name := mk().Name
+	for wi, build := range diffWorkloads() {
+		name := build(apps.ST).Name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			for _, mode := range []core.Mode{core.StackThreads, core.Cilk} {
-				for _, workers := range []int{1, 2, 4, 8} {
-					for _, seed := range seeds {
-						// Thin the heaviest combinations: every workload
-						// still covers every mode and worker count.
-						if len(seeds) <= 3 && wi >= 5 && seed != seeds[workers%len(seeds)] {
-							continue
-						}
-						observed := runEngine(t, mk, mode, workers, seed)
-						ctx := fmt.Sprintf("mode=%v workers=%d seed=%d", mode, workers, seed)
-						plain := runEnginePlain(t, mk, mode, workers, seed)
-						// The obs-free leg has no collector to compare; every
-						// other dimension must match.
-						plain.obs, plain.timeline = observed.obs, observed.timeline
-						diffCompare(t, ctx, observed, plain)
-						// The profile depends on the period; the events must not.
-						fine := runSampled(t, mk, mode, workers, seed, 97)
-						fine.obs = observed.obs
-						diffCompare(t, ctx+" sample=97", observed, fine)
+			for _, l := range legs {
+				mode, workers := l.mode, l.workers
+				v := apps.ST
+				if mode == core.Sequential {
+					v = apps.Seq
+				}
+				mk := func() *apps.Workload { return build(v) }
+				for _, seed := range seeds {
+					// Thin the heaviest combinations: every workload
+					// still covers every mode and worker count.
+					if len(seeds) <= 3 && wi >= 5 && seed != seeds[workers%len(seeds)] {
+						continue
 					}
+					observed := runEngine(t, mk, mode, workers, seed)
+					ctx := fmt.Sprintf("mode=%v workers=%d seed=%d", mode, workers, seed)
+					plain := runEnginePlain(t, mk, mode, workers, seed)
+					// The obs-free leg has no collector to compare; every
+					// other dimension must match.
+					plain.obs, plain.timeline = observed.obs, observed.timeline
+					diffCompare(t, ctx, observed, plain)
+					// The profile depends on the period; the events must not.
+					fine := runSampled(t, mk, mode, workers, seed, 97)
+					fine.obs = observed.obs
+					diffCompare(t, ctx+" sample=97", observed, fine)
 				}
 			}
 		})

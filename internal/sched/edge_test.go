@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -47,6 +48,50 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// buildSelfLock makes a program whose main takes the same lock twice: the
+// second acquire waits on a holder that never runs again.
+func buildSelfLock(v apps.Variant) *apps.Workload {
+	u := asm.NewUnit()
+	m := u.Proc("selflock_main", 0, 0)
+	m.Const(isa.R0, mem.Guard) // heap cell 0: the lock word
+	for i := 0; i < 2; i++ {
+		m.SetArg(0, isa.R0)
+		m.Call("lock")
+	}
+	m.Const(isa.RV, 0)
+	m.Ret(isa.RV)
+	w := &apps.Workload{Name: "selflock", Variant: v, Entry: "selflock_main"}
+	if v == apps.ST {
+		stlib.AddJoinLib(u)
+		stlib.AddBoot(u, "selflock_main", 0)
+		w.Entry = stlib.ProcBoot
+	}
+	w.Procs = u.MustBuild()
+	return w
+}
+
+// TestOneWorkerLockDeadlock: a lone worker blocked on a lock waits on a
+// holder that can only be a thread parked on that same worker, so the
+// scheduler reports a deadlock at once instead of spinning until the
+// MaxCycles backstop — in Sequential mode and in StackThreads at one
+// worker alike.
+func TestOneWorkerLockDeadlock(t *testing.T) {
+	_, err := core.Run(buildSelfLock(apps.Seq), core.Config{Mode: core.Sequential})
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("sequential: err = %v, want deadlock", err)
+	}
+	w := buildSelfLock(apps.ST)
+	prog, err := w.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm := machine.New(prog, mem.New(64), isa.SPARC(), 1, machine.Options{StackWords: 1 << 12})
+	_, err = sched.Run(mm, w.Entry, nil, sched.Config{MaxCycles: 1_000_000})
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("stackthreads: err = %v, want deadlock", err)
+	}
+}
+
 func TestMaxCyclesGuard(t *testing.T) {
 	u := asm.NewUnit()
 	stlib.AddJoinLib(u)
@@ -83,31 +128,30 @@ func TestUnknownEntryRejected(t *testing.T) {
 	}
 }
 
-// TestSingleWorkerSchedEqualsRunSingle: the DES with one worker must agree
-// with the plain single-worker loop on result and work done.
+// TestSingleWorkerSchedEqualsRunSingle: Sequential mode is the scheduler's
+// one-worker case, so on the same ST program it must agree with
+// StackThreads at one worker on everything but the slice-paced pick count —
+// whatever worker count it is asked for.
 func TestSingleWorkerSchedEqualsRunSingle(t *testing.T) {
 	mk := func() *apps.Workload { return apps.PingPong(20, apps.ST) }
 
-	a, err := core.Run(mk(), core.Config{Mode: core.StackThreads, Workers: 1})
+	st, err := core.Run(mk(), core.Config{Mode: core.StackThreads, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// RunSingle path: compile and drive directly.
-	w := mk()
-	prog, err := w.Compile()
+	seq, err := core.Run(mk(), core.Config{Mode: core.Sequential, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm := machine.New(prog, mem.New(1<<12), isa.SPARC(), 1, machine.Options{})
-	rv, err := mm.RunSingle(w.Entry, w.Args...)
-	if err != nil {
-		t.Fatal(err)
+	if len(seq.Stats) != 1 {
+		t.Fatalf("sequential run used %d workers, want 1", len(seq.Stats))
 	}
-	if rv != a.RV {
-		t.Fatalf("results differ: %d vs %d", rv, a.RV)
+	if st.Stats[0].Suspends == 0 {
+		t.Fatal("pingpong never suspended; the comparison exercises no runtime path")
 	}
-	if mm.Workers[0].Stats.Instrs != a.Stats[0].Instrs {
-		t.Fatalf("instruction counts differ: %d vs %d", mm.Workers[0].Stats.Instrs, a.Stats[0].Instrs)
+	st.Picks, seq.Picks = 0, 0
+	if !reflect.DeepEqual(st, seq) {
+		t.Fatalf("results differ:\nst:  %+v\nseq: %+v", st, seq)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 // so all comparisons hold to the same byte-identity standard.
 func rtConfig(mode core.Mode, workers int, seed uint64,
 	collector *obs.Collector, out *bytes.Buffer) core.Config {
-	return core.Config{
+	cfg := core.Config{
 		Mode:            mode,
 		Workers:         workers,
 		Seed:            seed,
@@ -36,6 +36,13 @@ func rtConfig(mode core.Mode, workers int, seed uint64,
 		Out:             out,
 		Audit:           invariant.New(64),
 	}
+	if mode == core.Sequential {
+		// The sequential default slice (10,000 cycles) leaves these small
+		// workloads one or two pick boundaries; a finer one gives round
+		// trips mid-run boundaries to cut at.
+		cfg.Quantum = 500
+	}
+	return cfg
 }
 
 // captureAt runs the workload until pick boundary `pick`, yields there, and
@@ -146,40 +153,54 @@ func TestRoundTripEveryBoundary(t *testing.T) {
 
 // TestRoundTripMatrix extends the differential matrix through the codec:
 // workloads × modes × worker counts × seeds, each captured at two
-// pseudo-random pick boundaries.
+// pseudo-random pick boundaries. Sequential mode runs each workload's
+// sequential elision on its one worker (staircase has only an ST build, so
+// its sequential leg suspends).
 func TestRoundTripMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("round-trip matrix")
 	}
-	workloads := []func() *apps.Workload{
-		func() *apps.Workload { return apps.Fib(12, apps.ST) },
-		func() *apps.Workload { return apps.NQueens(6, apps.ST) },
-		func() *apps.Workload { return apps.Staircase(6, 8) },
-		func() *apps.Workload { return apps.Cilksort(64, apps.ST, 5) },
-		func() *apps.Workload { return apps.Heat(8, 8, 4, apps.ST, 2) },
+	workloads := []func(apps.Variant) *apps.Workload{
+		func(v apps.Variant) *apps.Workload { return apps.Fib(12, v) },
+		func(v apps.Variant) *apps.Workload { return apps.NQueens(6, v) },
+		func(apps.Variant) *apps.Workload { return apps.Staircase(6, 8) },
+		func(v apps.Variant) *apps.Workload { return apps.Cilksort(64, v, 5) },
+		func(v apps.Variant) *apps.Workload { return apps.Heat(8, 8, 4, v, 2) },
+	}
+	legs := []struct {
+		mode    core.Mode
+		workers int
+	}{
+		{core.StackThreads, 2}, {core.StackThreads, 4},
+		{core.Cilk, 2}, {core.Cilk, 4},
+		{core.Sequential, 1},
 	}
 	seeds := diffSeeds()
-	for wi, mk := range workloads {
-		name := mk().Name
+	for wi, build := range workloads {
+		name := build(apps.ST).Name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			for _, mode := range []core.Mode{core.StackThreads, core.Cilk} {
-				for _, workers := range []int{2, 4} {
-					for _, seed := range seeds {
-						undisturbed := runEngine(t, mk, mode, workers, seed)
-						picks := undisturbed.res.Picks
-						if picks < 1 {
-							t.Fatalf("%s: no pick boundaries", name)
-						}
-						rng := rand.New(rand.NewSource(int64(seed)<<8 | int64(wi)))
-						for i := 0; i < 2; i++ {
-							pick := 1 + rng.Int63n(picks)
-							ctx := fmt.Sprintf("mode=%v workers=%d seed=%d pick=%d/%d",
-								mode, workers, seed, pick, picks)
-							enc := captureAt(t, mk, mode, workers, seed, pick, obs.New())
-							got := resumeFrom(t, mk, mode, workers, seed, enc)
-							diffCompare(t, ctx, undisturbed, got)
-						}
+			for _, leg := range legs {
+				mode, workers := leg.mode, leg.workers
+				v := apps.ST
+				if mode == core.Sequential {
+					v = apps.Seq
+				}
+				mk := func() *apps.Workload { return build(v) }
+				for _, seed := range seeds {
+					undisturbed := runEngine(t, mk, mode, workers, seed)
+					picks := undisturbed.res.Picks
+					if picks < 2 {
+						t.Fatalf("%s mode=%v: %d pick boundaries, none mid-run", name, mode, picks)
+					}
+					rng := rand.New(rand.NewSource(int64(seed)<<8 | int64(wi)))
+					for i := 0; i < 2; i++ {
+						pick := 1 + rng.Int63n(picks)
+						ctx := fmt.Sprintf("mode=%v workers=%d seed=%d pick=%d/%d",
+							mode, workers, seed, pick, picks)
+						enc := captureAt(t, mk, mode, workers, seed, pick, obs.New())
+						got := resumeFrom(t, mk, mode, workers, seed, enc)
+						diffCompare(t, ctx, undisturbed, got)
 					}
 				}
 			}
@@ -189,14 +210,23 @@ func TestRoundTripMatrix(t *testing.T) {
 
 // TestRoundTripRandprog runs generated plain fork trees (advprog with only
 // the BlockStorm class: forced blocking suspensions, random fan-out and
-// compute) through the same property.
+// compute) through the same property. Trees with no blocker force no
+// suspension and are not run; the rest of the seed range must cover at
+// least as many nodes as the deleted randprog generator's sweep did, so a
+// generator that shrinks its trees fails here.
 func TestRoundTripRandprog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("round-trip fuzz")
 	}
-	for seed := int64(0); seed < 6; seed++ {
+	const seeds, minNodes = 23, 68
+	nodes := 0
+	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := advprog.FromSeed(uint64(seed), advprog.BlockStorm)
+		if blockers(p.Root) == 0 {
+			continue
+		}
+		nodes += p.Nodes
 		want := p.Expected()
 		mk := func() *apps.Workload { return advprog.Workload(p) }
 		workers := 2 + int(seed%3)
@@ -220,6 +250,18 @@ func TestRoundTripRandprog(t *testing.T) {
 			diffCompare(t, ctx, undisturbed, got)
 		}
 	}
+	if nodes < minNodes {
+		t.Fatalf("trees cover %d nodes, want at least %d", nodes, minNodes)
+	}
+}
+
+// blockers counts the blocking children in the tree under n.
+func blockers(n *advprog.Node) int {
+	b := n.Blockers
+	for _, c := range n.Children {
+		b += blockers(c)
+	}
+	return b
 }
 
 // TestPeriodicCheckpointResume exercises the serving-path shape: a run

@@ -495,6 +495,11 @@ func (s *scheduler) handleEvent(i int, ev machine.Event) (bool, error) {
 	case machine.EvPoll:
 		s.servicePoll(i)
 	case machine.EvBlocked:
+		if len(s.m.Workers) == 1 {
+			// The holder can only be a thread parked on this same worker,
+			// which cannot run while it spins: the wait never ends.
+			return true, fmt.Errorf("sched: deadlock: single worker blocked on a lock")
+		}
 		// Spin on the contended lock; virtual time passes so the
 		// holder gets scheduled.
 		w.Cycles += 8

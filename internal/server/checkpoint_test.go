@@ -430,3 +430,26 @@ func TestStealReclaim(t *testing.T) {
 		t.Fatal("reclaimed output differs from an undisturbed run")
 	}
 }
+
+// TestSequentialJobYieldsAndAdopts: a seq job runs on the scheduler like
+// any other, so it yields at a pick boundary, and the continuation adopted
+// through ExecOpts.Resume finishes with the same JobOutput bytes as an
+// undisturbed run.
+func TestSequentialJobYieldsAndAdopts(t *testing.T) {
+	req, err := JobRequest{App: "fib", Mode: "seq", Seed: 3,
+		Metrics: true, Profile: true, Trace: true}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refOutput(t, req)
+	for _, pick := range []int64{2, 4} {
+		enc := captureContinuation(t, req, pick)
+		out, err := ExecuteOpts(context.Background(), req, ExecOpts{Resume: enc})
+		if err != nil {
+			t.Fatalf("pick %d: adopt: %v", pick, err)
+		}
+		if got := mustOutJSON(t, out); !bytes.Equal(got, want) {
+			t.Fatalf("pick %d: adopted output differs from an undisturbed run", pick)
+		}
+	}
+}

@@ -60,14 +60,13 @@ type JobRequest struct {
 // normalize applies defaults and validates the request.
 func (r *JobRequest) normalize() error {
 	if r.Mode == "" {
-		r.Mode = "st"
+		r.Mode = defaultMode
 	}
-	switch r.Mode {
-	case "seq", "st", "cilk":
-	default:
-		return fmt.Errorf("unknown mode %q (want seq, st or cilk)", r.Mode)
+	mode, _, err := core.ParseMode(r.Mode)
+	if err != nil {
+		return err
 	}
-	if r.Workers <= 0 || r.Mode == "seq" {
+	if r.Workers <= 0 || mode == core.Sequential {
 		r.Workers = 1
 	}
 	if r.CPU == "" {
@@ -121,17 +120,27 @@ func (r JobRequest) Normalized() (JobRequest, error) {
 	return r, err
 }
 
-// workload builds the benchmark the request names.
-func (r *JobRequest) workload() (*apps.Workload, error) {
-	v := apps.ST
-	if r.Mode == "seq" {
-		v = apps.Seq
+// defaultMode is the mode of a request that names none.
+const defaultMode = "st"
+
+// workload builds the benchmark the request names, with its execution
+// regime. Execute also takes requests that were never normalized, so an
+// empty mode means the default here too.
+func (r *JobRequest) workload() (*apps.Workload, core.Mode, error) {
+	name := r.Mode
+	if name == "" {
+		name = defaultMode
+	}
+	mode, v, err := core.ParseMode(name)
+	if err != nil {
+		return nil, 0, err
 	}
 	sc := figures.Quick
 	if r.Full {
 		sc = figures.Full
 	}
-	return figures.Workload(r.App, sc, v)
+	w, err := figures.Workload(r.App, sc, v)
+	return w, mode, err
 }
 
 // JobOutput is the deterministic product of one execution: the run result
@@ -160,8 +169,7 @@ type ExecOpts struct {
 
 	// Checkpoints, when non-nil, persists the run's continuation every
 	// CheckpointCycles of virtual work under the request's CacheKey, and
-	// resumes from a stored checkpoint when one exists. Sequential-mode jobs
-	// have no pick boundaries and ignore it.
+	// resumes from a stored checkpoint when one exists.
 	Checkpoints snapshot.Store
 	// CheckpointCycles is the periodic capture cadence in virtual work
 	// cycles (default 2,000,000 when Checkpoints is set).
@@ -214,7 +222,7 @@ func Execute(ctx context.Context, req JobRequest) (*JobOutput, error) {
 // ExecuteOpts is Execute with host-side observability sinks and checkpoint
 // plumbing attached.
 func ExecuteOpts(ctx context.Context, req JobRequest, opts ExecOpts) (*JobOutput, error) {
-	w, err := req.workload()
+	w, mode, err := req.workload()
 	if err != nil {
 		return nil, err
 	}
@@ -225,15 +233,6 @@ func ExecuteOpts(ctx context.Context, req JobRequest, opts ExecOpts) (*JobOutput
 	var aud *invariant.Auditor
 	if req.Audit > 0 {
 		aud = invariant.New(int64(req.Audit))
-	}
-	var mode core.Mode
-	switch req.Mode {
-	case "seq":
-		mode = core.Sequential
-	case "cilk":
-		mode = core.Cilk
-	default:
-		mode = core.StackThreads
 	}
 	col := obs.New()
 	key := req.CacheKey()
@@ -253,13 +252,7 @@ func ExecuteOpts(ctx context.Context, req JobRequest, opts ExecOpts) (*JobOutput
 		Contention:    opts.Contention,
 	}
 
-	var res *core.Result
-	if mode == core.Sequential {
-		// No pick boundaries: not checkpointable, not stealable.
-		res, err = core.Run(w, cfg)
-	} else {
-		res, err = runScheduled(w, cfg, key, col, opts)
-	}
+	res, err := runCheckpointed(w, cfg, key, col, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -291,12 +284,12 @@ func (o *ExecOpts) notify(event string) {
 	}
 }
 
-// runScheduled executes a scheduled-mode (st/cilk) job with the checkpoint
-// machinery attached: it adopts an explicit continuation or a stored
+// runCheckpointed executes a job with the checkpoint machinery attached:
+// it adopts an explicit continuation or a stored
 // checkpoint when one exists, captures periodic checkpoints while running,
 // and surfaces a cooperative yield as a *SuspendedError carrying the
 // encoded continuation.
-func runScheduled(w *apps.Workload, cfg core.Config, key string, col *obs.Collector, opts ExecOpts) (*core.Result, error) {
+func runCheckpointed(w *apps.Workload, cfg core.Config, key string, col *obs.Collector, opts ExecOpts) (*core.Result, error) {
 	// encode snapshots a boundary together with the collector's state at
 	// that instant.
 	encode := func(b *sched.Boundary) ([]byte, error) {
@@ -446,7 +439,7 @@ type Job struct {
 	hostSpans []obs.HostSpan
 
 	// Checkpoint/steal lifecycle (guarded by the server mutex).
-	cp        *sched.Checkpoint // live capture handle while running (nil for seq)
+	cp        *sched.Checkpoint // live capture handle while running
 	resume    []byte            // continuation to adopt at dispatch
 	stolenEnc []byte            // encoded continuation while out for adoption
 	claim     string            // active steal claim token ("" = none)

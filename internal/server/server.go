@@ -124,7 +124,7 @@ type Config struct {
 	// CheckpointCycles of virtual work, keyed by versioned canonical tuple.
 	// A job whose tuple has a stored checkpoint resumes from it instead of
 	// recomputing — across restarts too, and across nodes when the store's
-	// directory is shared. Sequential-mode jobs are not checkpointable.
+	// directory is shared.
 	Checkpoints snapshot.Store
 	// CheckpointCycles is the capture cadence (default 2,000,000).
 	CheckpointCycles int64
@@ -405,17 +405,13 @@ func (s *Server) runJob(j *Job) {
 	j.phase = "cache-probe"
 	j.started = time.Now()
 	j.progress = &obs.Progress{}
-	// A scheduled-mode job gets a capture handle in the same critical
-	// section that marks it running, so a thief never finds a running job
-	// it cannot claim: the cluster layer yields it for stealing, and the
-	// checkpoint store (if any) snapshots it periodically. Sequential runs
-	// have no pick boundaries. A job then served from the cache finishes
-	// normally; finishLocked wakes any thief waiting on it.
-	var cp *sched.Checkpoint
-	if j.Req.Mode != "seq" {
-		cp = &sched.Checkpoint{}
-		j.cp = cp
-	}
+	// The job gets a capture handle in the same critical section that
+	// marks it running, so a thief never finds a running job it cannot
+	// claim: the cluster layer yields it for stealing, and the checkpoint
+	// store (if any) snapshots it periodically. A job then served from the
+	// cache finishes normally; finishLocked wakes any thief waiting on it.
+	cp := &sched.Checkpoint{}
+	j.cp = cp
 	s.running++
 	s.met.Set("jobs_running", int64(s.running))
 	s.mu.Unlock()

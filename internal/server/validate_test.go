@@ -57,7 +57,7 @@ func TestNormalizeAcceptsOnlyBuildableApps(t *testing.T) {
 				continue
 			}
 			accepted[app] = true
-			w, err := req.workload()
+			w, _, err := req.workload()
 			if err != nil {
 				t.Fatalf("%q/%s: accepted but does not build: %v", app, mode, err)
 			}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/postproc"
+	"repro/internal/sched"
 	"repro/internal/stlib"
 )
 
@@ -26,11 +27,11 @@ func run(t *testing.T, u *asm.Unit, entry string, args ...int64) int64 {
 		StackWords:      1 << 13,
 		CheckInvariants: true,
 	})
-	rv, err := m.RunSingle(entry, args...)
+	res, err := sched.Run(m, entry, args, sched.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rv
+	return res.RV
 }
 
 // TestJoinFastPath: joining an already-finished counter must not suspend.
