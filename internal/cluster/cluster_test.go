@@ -296,6 +296,73 @@ func TestForwardSharesTraceAcrossNodes(t *testing.T) {
 	}
 }
 
+// TestMalformedTraceIDReplacedAtEdge: a malformed client trace id sent to
+// a node that does not own the key is replaced at that edge, before any
+// log, span or forward. The one well-formed id it mints comes back in the
+// response header, is the owner's JobView.trace_id, and tags the edge's
+// forward span.
+func TestMalformedTraceIDReplacedAtEdge(t *testing.T) {
+	nodes := startCluster(t, 2, server.Config{QueueBound: 8, HostProcs: 2, CacheEntries: 16},
+		func(i int, c *Config) {})
+	a, b := nodes[0], nodes[1]
+
+	req := seedOwnedBy(t, a.node.ring(), b.addr)
+	const bad = "bad id!{};"
+	resp, body := postJSON(t, a.url()+"/jobs", req, map[string]string{server.TraceHeader: bad})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get(HeaderOwner); got != b.addr {
+		t.Fatalf("owner header = %q, want %q", got, b.addr)
+	}
+	id := resp.Header.Get(server.TraceHeader)
+	if id == bad || server.TraceID(id) != id {
+		t.Fatalf("echoed trace id %q is not well-formed", id)
+	}
+	var view server.JobView
+	if err := json.Unmarshal(body, &view); err != nil {
+		t.Fatal(err)
+	}
+	if view.TraceID != id {
+		t.Fatalf("owner's job trace id = %q, header %q", view.TraceID, id)
+	}
+	var spans []string
+	for _, sp := range a.srv.HostSpans().Spans() {
+		if sp.Name == "forward" {
+			spans = append(spans, sp.TraceID)
+		}
+	}
+	if len(spans) != 1 || spans[0] != id {
+		t.Fatalf("edge forward spans carry trace ids %q, want [%q]", spans, id)
+	}
+}
+
+// TestRingRebuiltOnMembershipChange: submissions reuse the routing ring;
+// it is rebuilt only when the set of live members changes.
+func TestRingRebuiltOnMembershipChange(t *testing.T) {
+	n, err := New(server.New(server.Config{HostProcs: 1}), Config{Self: "a:1", Peers: []string{"b:2", "c:3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Server().Drain()
+	r := n.ring()
+	if got := r.Members(); len(got) != 3 {
+		t.Fatalf("ring members %v, want 3", got)
+	}
+	if n.ring() != r {
+		t.Fatal("ring rebuilt with no membership change")
+	}
+	n.markDead("b:2")
+	shrunk := n.ring()
+	if shrunk == r || len(shrunk.Members()) != 2 {
+		t.Fatalf("ring after b died: %v", shrunk.Members())
+	}
+	n.markDead("b:2") // already dead: the live set is unchanged
+	if n.ring() != shrunk {
+		t.Fatal("ring rebuilt though the live set did not change")
+	}
+}
+
 func TestForwardFailsOverToLocal(t *testing.T) {
 	nodes := startCluster(t, 2, server.Config{QueueBound: 8, HostProcs: 2, CacheEntries: 16},
 		func(i int, c *Config) {})
@@ -491,19 +558,12 @@ func TestClusterSmoke(t *testing.T) {
 		}
 	}
 	waitFor(t, "checkpoints from the doomed node", 30*time.Second, func() bool {
-		stored, err := store.List()
-		if err != nil {
-			return false
-		}
-		n := 0
-		for _, k := range stored {
-			for _, want := range keys {
-				if k == want {
-					n++
-				}
+		for _, k := range keys {
+			if _, err := store.Get(k); err != nil {
+				return false
 			}
 		}
-		return n == len(keys)
+		return true
 	})
 	c.kill()
 

@@ -3,8 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -109,6 +107,9 @@ type Node struct {
 
 	mu      sync.Mutex
 	members map[string]*member // keyed by address; never contains Self
+	// live is the routing ring over Self and the live members, built on
+	// demand; setAliveLocked drops it whenever the live set changes.
+	live *Ring
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -176,18 +177,30 @@ func (n *Node) logEvent(msg string, args ...any) {
 	}
 }
 
-// ring builds the routing ring over this node plus every peer currently
-// believed alive.
+// ring returns the routing ring over this node plus every peer currently
+// believed alive. It is rebuilt only after the live member set changed.
 func (n *Node) ring() *Ring {
-	addrs := []string{n.cfg.Self}
 	n.mu.Lock()
-	for a, m := range n.members {
-		if m.alive {
-			addrs = append(addrs, a)
+	defer n.mu.Unlock()
+	if n.live == nil {
+		addrs := []string{n.cfg.Self}
+		for a, m := range n.members {
+			if m.alive {
+				addrs = append(addrs, a)
+			}
 		}
+		n.live = NewRing(addrs)
 	}
-	n.mu.Unlock()
-	return NewRing(addrs)
+	return n.live
+}
+
+// setAliveLocked records a peer's liveness, dropping the routing ring when
+// that changes the live member set; the caller holds n.mu.
+func (n *Node) setAliveLocked(m *member, alive bool) {
+	if m.alive != alive {
+		m.alive = alive
+		n.live = nil
+	}
 }
 
 // markDead records a failed node-to-node call so routing stops targeting
@@ -195,20 +208,10 @@ func (n *Node) ring() *Ring {
 func (n *Node) markDead(addr string) {
 	n.mu.Lock()
 	if m := n.members[addr]; m != nil {
-		m.alive = false
+		n.setAliveLocked(m, false)
 		m.fails++
 	}
 	n.mu.Unlock()
-}
-
-// mintTraceID creates a trace id at the cluster edge so a forwarded job's
-// spans on every node share one id even when the client sent none.
-func mintTraceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("cluster: trace-id entropy: %v", err))
-	}
-	return "c-" + hex.EncodeToString(b[:])
 }
 
 // ---------------------------------------------------------------------------
@@ -304,78 +307,48 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
-// handleSubmit routes a submission: forwarded or locally-owned requests are
-// served by the wrapped server; anything else is proxied to the ring owner
-// of the job's canonical tuple, with failover to local serving when the
-// owner is unreachable (availability beats placement — the bytes are
-// identical either way).
+// handleSubmit routes a submission. It reads the submission once, under
+// the server's body cap and trace-id rule. A forwarded or locally owned
+// request is admitted by the wrapped server; anything else is proxied to
+// the ring owner of the job's canonical tuple, with failover to local
+// serving when the owner is unreachable (availability beats placement —
+// the bytes are identical either way).
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		server.WriteJSON(w, http.StatusBadRequest, server.ErrorView{Error: "bad request body: " + err.Error()})
+	sub := server.ReadSubmission(w, r)
+	if sub == nil {
 		return
 	}
-	var req server.JobRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		server.WriteJSON(w, http.StatusBadRequest, server.ErrorView{Error: "bad request body: " + err.Error()})
-		return
-	}
-	norm, err := req.Normalized()
-	if err != nil {
-		server.WriteJSON(w, http.StatusBadRequest, server.ErrorView{Error: err.Error()})
-		return
-	}
-	traceID := r.Header.Get(server.TraceHeader)
-	if traceID == "" {
-		traceID = mintTraceID()
-	}
-
 	if fwd := r.Header.Get(HeaderForwarded); fwd != "" {
 		// Loop guard: a forwarded request is served here, period.
 		n.forwardsIn.Add(1)
-		n.logEvent("serving forwarded job", "trace_id", traceID, "from", fwd, "app", norm.App)
-		n.serveLocal(w, r, body, traceID)
+		n.logEvent("serving forwarded job", "trace_id", sub.TraceID, "from", fwd, "app", sub.Req.App)
+	} else if owner := n.ring().Owner(sub.Req.CacheKey()); owner != "" && owner != n.cfg.Self &&
+		n.forward(w, r, sub, owner) {
 		return
 	}
-	owner := n.ring().Owner(norm.CacheKey())
-	if owner == "" || owner == n.cfg.Self {
-		n.serveLocal(w, r, body, traceID)
-		return
-	}
-	n.forward(w, r, body, norm, traceID, owner)
-}
-
-// serveLocal hands the submission to the wrapped server with the body
-// restored and the (possibly minted) trace id pinned.
-func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte, traceID string) {
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	r.Header.Set(server.TraceHeader, traceID)
 	w.Header().Set(HeaderOwner, n.cfg.Self)
-	n.srv.Handler().ServeHTTP(w, r)
+	n.srv.Respond(w, r, sub)
 }
 
-// forward proxies the submission to the ring owner. The trace id and the
-// job's deadline/budget ride as headers so the whole hop chain is visible
-// in one two-clock trace and to intermediaries.
-func (n *Node) forward(w http.ResponseWriter, r *http.Request, body []byte,
-	norm server.JobRequest, traceID, owner string) {
+// forward proxies the submission to the ring owner, reporting false when
+// the owner could not be reached and nothing was written. The trace id and
+// the job's deadline/budget ride as headers so the whole hop chain is
+// visible in one two-clock trace and to intermediaries.
+func (n *Node) forward(w http.ResponseWriter, r *http.Request, sub *server.Submission, owner string) bool {
 	t0 := time.Now()
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		"http://"+owner+"/jobs", bytes.NewReader(body))
+		"http://"+owner+"/jobs", bytes.NewReader(sub.Body))
 	if err != nil {
-		n.serveLocal(w, r, body, traceID)
-		return
+		return false
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(server.TraceHeader, traceID)
+	req.Header.Set(server.TraceHeader, sub.TraceID)
 	req.Header.Set(HeaderForwarded, n.cfg.Self)
-	if norm.TimeoutMs > 0 {
-		req.Header.Set(HeaderDeadline, strconv.FormatInt(norm.TimeoutMs, 10))
+	if sub.Req.TimeoutMs > 0 {
+		req.Header.Set(HeaderDeadline, strconv.FormatInt(sub.Req.TimeoutMs, 10))
 	}
-	if norm.MaxWorkCycles > 0 {
-		req.Header.Set(HeaderBudget, strconv.FormatInt(norm.MaxWorkCycles, 10))
+	if sub.Req.MaxWorkCycles > 0 {
+		req.Header.Set(HeaderBudget, strconv.FormatInt(sub.Req.MaxWorkCycles, 10))
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
@@ -384,14 +357,13 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, body []byte,
 		// lost until gossip heals the ring.
 		n.markDead(owner)
 		n.forwardFailovers.Add(1)
-		n.logEvent("forward failed, serving locally", "trace_id", traceID,
+		n.logEvent("forward failed, serving locally", "trace_id", sub.TraceID,
 			"owner", owner, "err", err.Error())
-		n.serveLocal(w, r, body, traceID)
-		return
+		return false
 	}
 	defer resp.Body.Close()
 	n.forwardsOut.Add(1)
-	n.srv.HostSpans().Span(traceID, "", "forward", t0, time.Now(),
+	n.srv.HostSpans().Span(sub.TraceID, "", "forward", t0, time.Now(),
 		obs.Arg{K: "status", V: int64(resp.StatusCode)})
 	for _, h := range []string{"Content-Type", server.TraceHeader, "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
@@ -401,6 +373,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, body []byte,
 	w.Header().Set(HeaderOwner, owner)
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
+	return true
 }
 
 // handleInfo serves gossip and learns the caller's address from ?from=.
@@ -408,7 +381,8 @@ func (n *Node) handleInfo(w http.ResponseWriter, r *http.Request) {
 	if from := r.URL.Query().Get("from"); from != "" && from != n.cfg.Self {
 		n.mu.Lock()
 		if n.members[from] == nil {
-			n.members[from] = &member{alive: true}
+			n.members[from] = &member{}
+			n.setAliveLocked(n.members[from], true)
 		}
 		n.mu.Unlock()
 	}
@@ -584,12 +558,12 @@ func (n *Node) gossipOnce() {
 		if err != nil {
 			m.fails++
 			if m.fails >= 2 {
-				m.alive = false
+				n.setAliveLocked(m, false)
 			}
 			n.mu.Unlock()
 			continue
 		}
-		m.alive = true
+		n.setAliveLocked(m, true)
 		m.fails = 0
 		m.lastSeen = time.Now()
 		m.info = *info

@@ -251,3 +251,37 @@ func TestSequentialStallsInject(t *testing.T) {
 	again, _ := run(&p)
 	diffCompare(t, "sequential stalls rerun", first, again)
 }
+
+// TestSpuriousPollNeedsAPollPoint: the spurious-poll site is rolled only
+// for code that has a poll point. The sequential elision has none, so a
+// sequential run under suspend-churn counts no spurious poll and is
+// byte-identical to the clean run, while the same plan on the StackThreads
+// build keeps injecting.
+func TestSpuriousPollNeedsAPollPoint(t *testing.T) {
+	plan, err := fault.PlanByName("suspend-churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Seed = 7
+	run := func(mode core.Mode, v apps.Variant, p *fault.Plan) (diffRun, *fault.Injector) {
+		var out bytes.Buffer
+		c := obs.New()
+		cfg := core.Config{Mode: mode, Workers: 2, Quantum: 200, Obs: c, Out: &out, Fault: fault.New(p)}
+		res, err := core.Run(apps.Fib(16, v), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return diffRun{res: res, out: out.Bytes(), obs: obsDump(c), timeline: timelineDump(c)}, cfg.Fault
+	}
+	clean, _ := run(core.Sequential, apps.Seq, nil)
+	p := plan
+	churned, inj := run(core.Sequential, apps.Seq, &p)
+	if n := inj.Counts()["spurious_poll"]; n != 0 {
+		t.Fatalf("sequential run counted %d spurious polls; it has no poll point", n)
+	}
+	diffCompare(t, "sequential suspend-churn", clean, churned)
+	p = plan
+	if _, inj := run(core.StackThreads, apps.ST, &p); inj.Counts()["spurious_poll"] == 0 {
+		t.Fatal("suspend-churn injected no spurious poll into a StackThreads run")
+	}
+}

@@ -196,6 +196,10 @@ type scheduler struct {
 	// injector rather than a steal request; servicePoll turns the flag
 	// into a suspend/restart pair.
 	spurious []bool
+	// polls reports whether the program has a poll point at all. The
+	// sequential elision has none, so a raised poll signal could never be
+	// serviced and the spurious-poll site is not rolled for it.
+	polls bool
 
 	// picks counts checkAbort calls — the pick-boundary clock the
 	// checkpoint layer's YieldAtPick addresses.
@@ -230,6 +234,14 @@ func newScheduler(m *machine.Machine, cfg Config) (*scheduler, error) {
 	}
 	for i := 1; i < n; i++ {
 		s.status[i] = idle
+	}
+	if cfg.Fault != nil && cfg.Mode == ModeST {
+		for _, in := range m.Prog.Code {
+			if in.Op == isa.Poll {
+				s.polls = true
+				break
+			}
+		}
 	}
 	return s, nil
 }
@@ -413,7 +425,7 @@ func (s *scheduler) injectVirtual(i int) bool {
 		s.cfg.Obs.Instant(w.Cycles, i, "fault-stall", obs.Arg{K: "cycles", V: d})
 		return true
 	}
-	if s.cfg.Mode == ModeST && !w.PollSignal && f.SpuriousPoll() {
+	if s.polls && !w.PollSignal && f.SpuriousPoll() {
 		// Spuriously raise the poll signal: at its next poll point the
 		// worker finds no request and runs a suspend/restart pair instead
 		// (see servicePoll) — adversarial suspension at a point where

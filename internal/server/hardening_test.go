@@ -212,7 +212,7 @@ func TestBreakerShedsAfterHostFailuresAndRecovers(t *testing.T) {
 	// the half-open probe finishes instantly (a cache hit never touches
 	// the watchdog) and succeeds.
 	probe := JobRequest{App: "fib"}
-	if err := (&probe).normalize(); err != nil {
+	if _, err := (&probe).normalize(); err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
 	s.cache.Put(probe.CacheKey(), &JobOutput{Result: &core.Result{RV: 1}})

@@ -1,8 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -14,6 +19,78 @@ import (
 // it on POST /jobs, the server echoes it (minting an id when absent) and
 // tags every span and log line with it.
 const TraceHeader = "X-Trace-Id"
+
+// MaxJobBody caps a POST /jobs body. The largest real request, with every
+// field set to its longest value, is about 400 bytes of JSON, so
+// 64 KiB is ample and refusing a hostile body costs at most that much.
+const MaxJobBody = 64 << 10
+
+// TraceID is the trace-id rule of every hop. A well-formed client id
+// (non-empty, at most 64 bytes of [A-Za-z0-9._-]) is kept; anything else
+// is replaced by a minted "t-<16 hex digits>", random so that ids minted
+// on different cluster nodes do not collide. The id lands in log lines,
+// trace files and headers, so only inert ids pass.
+func TraceID(client string) string {
+	ok := client != "" && len(client) <= 64
+	for i := 0; ok && i < len(client); i++ {
+		c := client[i]
+		ok = c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+			c == '.' || c == '_' || c == '-'
+	}
+	if ok {
+		return client
+	}
+	return "t-" + randHex(8)
+}
+
+// randHex returns n random bytes in hex. Host-side identity only: never
+// part of any deterministic artifact.
+func randHex(n int) string {
+	b := make([]byte, n)
+	if _, err := rand.Read(b); err != nil {
+		panic(fmt.Sprintf("server: entropy: %v", err))
+	}
+	return hex.EncodeToString(b)
+}
+
+// Submission is one POST /jobs request as a hop admits it: the body read
+// under MaxJobBody and decoded strictly, the request normalized, and the
+// trace id settled. Each hop builds it once per request.
+type Submission struct {
+	Req     JobRequest // normalized
+	TraceID string     // well-formed: the client's or a minted one
+	Body    []byte     // the body as read, forwarded unchanged
+	spec    jobSpec
+}
+
+// ReadSubmission reads a POST /jobs request into a Submission. On a bad
+// body (too large, malformed, unknown field) or an invalid request it
+// writes the error response itself and returns nil.
+func ReadSubmission(w http.ResponseWriter, r *http.Request) *Submission {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxJobBody))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		WriteJSON(w, status, ErrorView{Error: "bad request body: " + err.Error()})
+		return nil
+	}
+	sub := &Submission{Body: body}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sub.Req); err != nil {
+		WriteJSON(w, http.StatusBadRequest, ErrorView{Error: "bad request body: " + err.Error()})
+		return nil
+	}
+	if sub.spec, err = sub.Req.normalize(); err != nil {
+		WriteJSON(w, http.StatusBadRequest, ErrorView{Error: err.Error()})
+		return nil
+	}
+	sub.TraceID = TraceID(r.Header.Get(TraceHeader))
+	return sub
+}
 
 // retryAfterSeconds rounds a backoff up to whole seconds (the Retry-After
 // header's granularity), with a floor of 1.
@@ -115,7 +192,7 @@ func (s *Server) view(j *Job) JobView {
 	return v
 }
 
-// Handler returns the service's HTTP API:
+// Handler returns the service's HTTP API (one mux, built in New):
 //
 //	POST   /jobs        submit a JobRequest ("wait":true blocks until done);
 //	                    an X-Trace-Id header joins the job to the client's
@@ -128,7 +205,9 @@ func (s *Server) view(j *Job) JobView {
 //	GET    /debug/jobs  live serving state: in-flight jobs with phase and
 //	                    progress, queue depth, breaker, contention
 //	GET    /healthz     liveness + draining flag
-func (s *Server) Handler() http.Handler {
+func (s *Server) Handler() http.Handler { return s.mux }
+
+func (s *Server) newMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
 	mux.HandleFunc("GET /jobs/{id}", s.handleGet)
@@ -163,14 +242,16 @@ type ErrorView struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorView{Error: "bad request body: " + err.Error()})
-		return
+	if sub := ReadSubmission(w, r); sub != nil {
+		s.Respond(w, r, sub)
 	}
-	j, err := s.SubmitTrace(req, r.Header.Get(TraceHeader))
+}
+
+// Respond admits a submission and writes the job's response. It is the
+// submit-and-respond half of POST /jobs, which a cluster node calls with
+// the submission it already read at its edge.
+func (s *Server) Respond(w http.ResponseWriter, r *http.Request, sub *Submission) {
+	j, err := s.admit(sub.Req, sub.spec, sub.TraceID, nil)
 	var shed *ShedError
 	switch {
 	case errors.As(err, &shed):
@@ -192,7 +273,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(TraceHeader, j.TraceID())
-	if req.Wait {
+	if sub.Req.Wait {
 		select {
 		case <-j.Done():
 		case <-r.Context().Done():

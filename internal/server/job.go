@@ -57,40 +57,51 @@ type JobRequest struct {
 	Trace   bool `json:"trace,omitempty"`
 }
 
-// normalize applies defaults and validates the request.
-func (r *JobRequest) normalize() error {
+// jobSpec is the execution regime normalize parsed out of a request. It
+// travels with the request from admission to execution, so nothing parses
+// a request twice.
+type jobSpec struct {
+	mode    core.Mode
+	variant apps.Variant
+	cpu     *isa.CostModel
+	plan    *fault.Plan
+}
+
+// normalize is the one validator: it fills in the defaults, checks every
+// field, and returns the regime it parsed.
+func (r *JobRequest) normalize() (jobSpec, error) {
+	var sp jobSpec
 	if r.Mode == "" {
-		r.Mode = defaultMode
+		r.Mode = "st"
 	}
-	mode, _, err := core.ParseMode(r.Mode)
-	if err != nil {
-		return err
+	var err error
+	if sp.mode, sp.variant, err = core.ParseMode(r.Mode); err != nil {
+		return sp, err
 	}
-	if r.Workers <= 0 || mode == core.Sequential {
+	if r.Workers <= 0 || sp.mode == core.Sequential {
 		r.Workers = 1
 	}
 	if r.CPU == "" {
 		r.CPU = "sparc"
 	}
-	if isa.CostModelByName(r.CPU) == nil {
-		return fmt.Errorf("unknown cpu %q", r.CPU)
+	if sp.cpu = isa.CostModelByName(r.CPU); sp.cpu == nil {
+		return sp, fmt.Errorf("unknown cpu %q", r.CPU)
 	}
-	plan, err := fault.ParsePlan(r.FaultPlan)
-	if err != nil {
-		return err
+	if sp.plan, err = fault.ParsePlan(r.FaultPlan); err != nil {
+		return sp, err
 	}
 	// Canonicalize so "none", "" and equivalent spellings share a cache key.
-	if plan == nil {
+	if sp.plan == nil {
 		r.FaultPlan = ""
 	} else {
-		r.FaultPlan = plan.String()
+		r.FaultPlan = sp.plan.String()
 	}
 	if r.Audit < 0 {
-		return fmt.Errorf("negative audit cadence %d", r.Audit)
+		return sp, fmt.Errorf("negative audit cadence %d", r.Audit)
 	}
 	// Check the name only: the workload is built once, at execution, so
 	// validation stays cheap at every hop and a cache hit builds nothing.
-	return figures.CheckName(r.App)
+	return sp, figures.CheckName(r.App)
 }
 
 // Key is the canonical cache key: exactly the fields that determine the
@@ -112,35 +123,21 @@ func (r *JobRequest) CacheKey() string {
 }
 
 // Normalized returns the request in canonical form: defaults applied and
-// validated. Cluster nodes route by the canonical tuple's CacheKey, so
-// every node must normalize a request identically before hashing it —
-// otherwise "mode omitted" and "mode st" would land on different shards.
+// validated. Anything that names a job by its CacheKey outside the server
+// (a checkpoint lookup, a routing check) must hash this form, or "mode
+// omitted" and "mode st" would name different jobs.
 func (r JobRequest) Normalized() (JobRequest, error) {
-	err := (&r).normalize()
+	_, err := (&r).normalize()
 	return r, err
 }
 
-// defaultMode is the mode of a request that names none.
-const defaultMode = "st"
-
-// workload builds the benchmark the request names, with its execution
-// regime. Execute also takes requests that were never normalized, so an
-// empty mode means the default here too.
-func (r *JobRequest) workload() (*apps.Workload, core.Mode, error) {
-	name := r.Mode
-	if name == "" {
-		name = defaultMode
-	}
-	mode, v, err := core.ParseMode(name)
-	if err != nil {
-		return nil, 0, err
-	}
+// workload builds the benchmark a normalized request names.
+func (r *JobRequest) workload(sp jobSpec) (*apps.Workload, error) {
 	sc := figures.Quick
 	if r.Full {
 		sc = figures.Full
 	}
-	w, err := figures.Workload(r.App, sc, v)
-	return w, mode, err
+	return figures.Workload(r.App, sc, sp.variant)
 }
 
 // JobOutput is the deterministic product of one execution: the run result
@@ -220,13 +217,19 @@ func Execute(ctx context.Context, req JobRequest) (*JobOutput, error) {
 }
 
 // ExecuteOpts is Execute with host-side observability sinks and checkpoint
-// plumbing attached.
+// plumbing attached. It validates the request exactly as admission does,
+// so a request the server would refuse fails here with the same error.
 func ExecuteOpts(ctx context.Context, req JobRequest, opts ExecOpts) (*JobOutput, error) {
-	w, mode, err := req.workload()
+	sp, err := (&req).normalize()
 	if err != nil {
 		return nil, err
 	}
-	plan, err := fault.ParsePlan(req.FaultPlan)
+	return execute(ctx, req, sp, opts)
+}
+
+// execute runs a normalized request under the regime normalize parsed.
+func execute(ctx context.Context, req JobRequest, sp jobSpec, opts ExecOpts) (*JobOutput, error) {
+	w, err := req.workload(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -237,16 +240,16 @@ func ExecuteOpts(ctx context.Context, req JobRequest, opts ExecOpts) (*JobOutput
 	col := obs.New()
 	key := req.CacheKey()
 	cfg := core.Config{
-		Mode:          mode,
+		Mode:          sp.mode,
 		Workers:       req.Workers,
-		CPU:           isa.CostModelByName(req.CPU),
+		CPU:           sp.cpu,
 		Seed:          req.Seed,
 		Quantum:       req.Quantum,
 		StealYoungest: req.StealYoungest,
 		MaxWorkCycles: req.MaxWorkCycles,
 		Ctx:           ctx,
 		Obs:           col,
-		Fault:         fault.New(plan),
+		Fault:         fault.New(sp.plan),
 		Audit:         aud,
 		Progress:      opts.Progress,
 		Contention:    opts.Contention,
@@ -412,8 +415,9 @@ const (
 
 // Job is one accepted request's lifecycle record.
 type Job struct {
-	ID  string
-	Req JobRequest
+	ID   string
+	Req  JobRequest
+	spec jobSpec // what admission parsed out of Req; execution runs it
 
 	seq uint64 // admission order; the FIFO tiebreak within a priority class
 

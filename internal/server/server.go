@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -69,6 +70,12 @@ type ShedError struct {
 func (e *ShedError) Error() string {
 	return fmt.Sprintf("server: shedding load (breaker open, retry in %s)", e.RetryAfter.Round(time.Millisecond))
 }
+
+// keptTerminal is how many finished jobs stay in the job table for
+// GET /jobs/{id}. A client reads a job's result right after it finishes
+// (or waits on the POST), so this covers any realistic polling lag
+// while bounding what the table pins beyond the result cache's LRU.
+const keptTerminal = 256
 
 // Failure taxonomy classes (JobView.Failure and error responses).
 const (
@@ -170,14 +177,21 @@ type Server struct {
 	cont    *sched.Contention // server-wide host-side execution counters
 	log     *slog.Logger      // nil disables
 
+	mux *http.ServeMux // the HTTP API, built once in New
+
 	mu        sync.Mutex
 	drainCond *sync.Cond
-	jobs      map[string]*Job
-	nextID    uint64
-	pending   int // accepted but not yet terminal (queued + running)
-	running   int
-	draining  bool
-	attempts  map[string]int // per-key execution count (serving-fault rolls)
+	// jobs holds every live job plus the keptTerminal most recent terminal
+	// ones; retired rings the terminal ids in finishing order so the
+	// oldest is dropped when a newer one finishes.
+	jobs     map[string]*Job
+	retired  [keptTerminal]string
+	nretired int
+	nextID   uint64
+	pending  int // accepted but not yet terminal (queued + running)
+	running  int
+	draining bool
+	attempts map[string]int // per-key execution count (serving-fault rolls)
 
 	dispatchDone chan struct{}
 }
@@ -200,6 +214,7 @@ func New(cfg Config) *Server {
 		dispatchDone: make(chan struct{}),
 	}
 	s.drainCond = sync.NewCond(&s.mu)
+	s.mux = s.newMux()
 	s.exec = newExecutor(s, cfg.HostProcs)
 	s.met.Set("host_procs", int64(cfg.HostProcs))
 	go s.dispatch()
@@ -225,45 +240,23 @@ func (s *Server) dispatch() {
 // begun, ErrQueueFull when the admission queue is at its bound, and a
 // *ShedError while the breaker sheds load.
 func (s *Server) Submit(req JobRequest) (*Job, error) {
-	return s.SubmitTrace(req, "")
+	return s.submit(req, "", nil)
 }
 
-// validTraceID bounds what the server accepts as a client-minted trace id:
-// non-empty, at most 64 bytes, drawn from [A-Za-z0-9._-]. Anything else is
-// treated as absent and a server id is minted instead (the id lands in log
-// lines, trace files and headers, so it must stay inert).
-func validTraceID(id string) bool {
-	if id == "" || len(id) > 64 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// SubmitTrace is Submit with an explicit trace id (normally the client's
-// X-Trace-Id header). When the id is empty or malformed the server mints
-// one ("t-<n>") so every admitted job is traceable end to end.
-func (s *Server) SubmitTrace(req JobRequest, traceID string) (*Job, error) {
-	return s.submit(req, traceID, nil)
-}
-
-// submit is the shared admission path; resume, when non-nil, is an encoded
-// continuation the job adopts instead of starting fresh.
+// submit validates a request and admits it under the trace-id rule; resume,
+// when non-nil, is an encoded continuation the job adopts instead of
+// starting fresh.
 func (s *Server) submit(req JobRequest, traceID string, resume []byte) (*Job, error) {
-	if err := (&req).normalize(); err != nil {
+	sp, err := (&req).normalize()
+	if err != nil {
 		return nil, err
 	}
-	if !validTraceID(traceID) {
-		traceID = ""
-	}
+	return s.admit(req, sp, TraceID(traceID), resume)
+}
+
+// admit is the one admission path. req is normalized, sp is what
+// normalize parsed, and traceID is well-formed.
+func (s *Server) admit(req JobRequest, sp jobSpec, traceID string, resume []byte) (*Job, error) {
 	if ok, retry := s.breaker.Allow(); !ok {
 		s.met.Add("jobs_shed", 1)
 		s.logEvent("job shed", "trace_id", traceID, "retry_after", retry.String())
@@ -281,12 +274,10 @@ func (s *Server) submit(req JobRequest, traceID string, resume []byte) (*Job, er
 		return nil, ErrDraining
 	}
 	s.nextID++
-	if traceID == "" {
-		traceID = fmt.Sprintf("t-%d", s.nextID)
-	}
 	j := &Job{
 		ID:        fmt.Sprintf("j-%d", s.nextID),
 		Req:       req,
+		spec:      sp,
 		traceID:   traceID,
 		state:     StateQueued,
 		phase:     "queued",
@@ -481,7 +472,7 @@ func (s *Server) runJob(j *Job) {
 		if s.cfg.Fault.ExecPanic(key, attempt) {
 			panic(&fault.Error{Site: "exec-panic"})
 		}
-		out, err := ExecuteOpts(ctx, j.Req, ExecOpts{
+		out, err := execute(ctx, j.Req, j.spec, ExecOpts{
 			Progress:         j.progress,
 			Contention:       s.cont,
 			Checkpoints:      s.cfg.Checkpoints,
@@ -639,6 +630,14 @@ func (s *Server) finishLocked(j *Job, out *JobOutput, err error, cacheUse string
 	}
 	s.pending--
 	close(j.done)
+	// The job stays findable until keptTerminal newer jobs have finished;
+	// then it leaves the table, and its output with it.
+	slot := &s.retired[s.nretired%keptTerminal]
+	if *slot != "" {
+		delete(s.jobs, *slot)
+	}
+	*slot = j.ID
+	s.nretired++
 	s.drainCond.Broadcast()
 	s.logEvent("job finished", "trace_id", j.traceID, "job", j.ID,
 		"state", j.state, "failure", j.failure, "cache", j.cacheUse,

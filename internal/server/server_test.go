@@ -531,3 +531,46 @@ func TestExecutePanicIsJobFailure(t *testing.T) {
 		t.Fatalf("executor_restarts = %d, want >= 2", n)
 	}
 }
+
+// TestJobTableBounded: finished jobs leave the job table once keptTerminal
+// newer ones have finished, so the table (and the outputs it pins) stays
+// bounded however many jobs a server has run. The newest job is still
+// served; the oldest is gone.
+func TestJobTableBounded(t *testing.T) {
+	s := New(Config{QueueBound: 64, HostProcs: 2, CacheEntries: 16})
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const n = 2000
+	var first, last *Job
+	for i := 0; i < n; i++ {
+		j, err := s.Submit(JobRequest{App: "fib", Seed: uint64(i % 4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitDone(t, j)
+		if first == nil {
+			first = j
+		}
+		last = j
+	}
+	s.mu.Lock()
+	size := len(s.jobs)
+	s.mu.Unlock()
+	if size > keptTerminal {
+		t.Fatalf("job table holds %d jobs after %d finished, want <= %d", size, n, keptTerminal)
+	}
+	for _, c := range []struct {
+		j    *Job
+		want int
+	}{{last, http.StatusOK}, {first, http.StatusNotFound}} {
+		resp, err := http.Get(ts.URL + "/jobs/" + c.j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("GET %s: status %d, want %d", c.j.ID, resp.StatusCode, c.want)
+		}
+	}
+}

@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"time"
@@ -27,16 +25,6 @@ var (
 	// expired, or already spent.
 	ErrBadClaim = errors.New("server: unknown, expired or already-spent steal claim")
 )
-
-// mintClaim returns a fresh unguessable claim token. Host-side identity
-// only — never part of any deterministic artifact.
-func mintClaim() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("server: claim entropy: %v", err))
-	}
-	return hex.EncodeToString(b[:])
-}
 
 // Stealable counts the running jobs a thief could usefully claim: jobs
 // whose continuation can be captured, minus the one this node should keep.
@@ -119,7 +107,7 @@ func (s *Server) StealOne(ctx context.Context) (*Job, string, []byte, error) {
 		// The run finished (or was canceled) before it reached a boundary.
 		return nil, "", nil, ErrNoStealable
 	}
-	claim := mintClaim()
+	claim := randHex(16) // unguessable, single-use
 	victim.claim = claim
 	enc := victim.stolenEnc
 	time.AfterFunc(s.cfg.StealTTL, func() { s.reclaim(victim, claim) })

@@ -104,8 +104,8 @@ func TestTraceIDPropagation(t *testing.T) {
 
 	// No header: the server mints an id.
 	v2, resp2 := postJob(t, ts, "", JobRequest{App: "fib", Seed: 2, Wait: true})
-	if v2.TraceID == "" || !strings.HasPrefix(v2.TraceID, "t-") {
-		t.Fatalf("minted trace id %q, want t-<n>", v2.TraceID)
+	if len(v2.TraceID) != 18 || !strings.HasPrefix(v2.TraceID, "t-") {
+		t.Fatalf("minted trace id %q, want t-<16 hex digits>", v2.TraceID)
 	}
 	if got := resp2.Header.Get(TraceHeader); got != v2.TraceID {
 		t.Fatalf("minted id not echoed: header %q, view %q", got, v2.TraceID)
@@ -116,6 +116,9 @@ func TestTraceIDPropagation(t *testing.T) {
 	v3, _ := postJob(t, ts, "bad id!{};", JobRequest{App: "fib", Seed: 3, Wait: true})
 	if !strings.HasPrefix(v3.TraceID, "t-") {
 		t.Fatalf("malformed client id accepted: %q", v3.TraceID)
+	}
+	if v3.TraceID == v2.TraceID {
+		t.Fatalf("two minted trace ids collide: %q", v3.TraceID)
 	}
 }
 

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/figures"
@@ -49,7 +51,8 @@ func TestNormalizeAcceptsOnlyBuildableApps(t *testing.T) {
 	accepted := map[string]bool{}
 	for _, app := range candidates {
 		for _, mode := range []string{"seq", "st", "cilk"} {
-			req, err := JobRequest{App: app, Mode: mode}.Normalized()
+			req := JobRequest{App: app, Mode: mode}
+			sp, err := req.normalize()
 			if err != nil {
 				if want := fmt.Sprintf("figures: unknown benchmark %q", app); err.Error() != want {
 					t.Errorf("%q/%s: error %q, want %q", app, mode, err, want)
@@ -57,7 +60,7 @@ func TestNormalizeAcceptsOnlyBuildableApps(t *testing.T) {
 				continue
 			}
 			accepted[app] = true
-			w, _, err := req.workload()
+			w, err := req.workload(sp)
 			if err != nil {
 				t.Fatalf("%q/%s: accepted but does not build: %v", app, mode, err)
 			}
@@ -105,5 +108,67 @@ func TestUnknownAppRejectedOverHTTP(t *testing.T) {
 	}
 	if st := s.Stats(); st.Accepted != 0 {
 		t.Fatalf("rejected request was admitted: accepted = %d", st.Accepted)
+	}
+}
+
+// TestExecuteValidatesLikeAdmission: Execute runs the same validator as
+// admission, so a request the server refuses fails Execute with the same
+// error instead of running under a default.
+func TestExecuteValidatesLikeAdmission(t *testing.T) {
+	s := New(Config{QueueBound: 8, HostProcs: 1, CacheEntries: -1})
+	defer s.Drain()
+	for _, req := range []JobRequest{
+		{App: "fib", CPU: "bogus"},
+		{App: "fib", Mode: "warp"},
+		{App: "fib", FaultPlan: "no-such-plan"},
+	} {
+		_, admitErr := s.Submit(req)
+		if admitErr == nil {
+			t.Fatalf("%+v admitted", req)
+		}
+		out, err := Execute(context.Background(), req)
+		if err == nil {
+			t.Fatalf("%+v: Execute ran it (rv %d); admission says %q", req, out.Result.RV, admitErr)
+		}
+		if err.Error() != admitErr.Error() {
+			t.Fatalf("%+v: Execute error %q, admission error %q", req, err, admitErr)
+		}
+	}
+}
+
+// postBody sends a raw POST /jobs body and returns the status code.
+func postBody(t *testing.T, ts *httptest.Server, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestJobBodyCap: a POST /jobs body of exactly MaxJobBody bytes decodes
+// and runs; one byte more is refused with 413 and never admitted.
+func TestJobBodyCap(t *testing.T) {
+	s := New(Config{QueueBound: 8, HostProcs: 1, CacheEntries: -1})
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// Pad inside the object, so the decoder must read the whole body.
+	body := func(size int) []byte {
+		head, tail := `{"app":"fib","wait":true`, `}`
+		return []byte(head + strings.Repeat(" ", size-len(head)-len(tail)) + tail)
+	}
+	if code := postBody(t, ts, body(MaxJobBody+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of cap+1 bytes: status %d, want 413", code)
+	}
+	if n := s.Stats().Accepted; n != 0 {
+		t.Fatalf("oversized body was admitted: accepted = %d", n)
+	}
+	if code := postBody(t, ts, body(MaxJobBody)); code != http.StatusOK {
+		t.Fatalf("body of exactly the cap: status %d, want 200", code)
+	}
+	if n := s.Stats().Accepted; n != 1 {
+		t.Fatalf("accepted = %d, want 1", n)
 	}
 }

@@ -417,21 +417,6 @@ func header(b []byte) (*reader, error) {
 	return r, nil
 }
 
-// DecodeKey reads just the job key from an encoded snapshot — enough for a
-// checkpoint store to index its contents without decoding full memory
-// images.
-func DecodeKey(b []byte) (string, error) {
-	r, err := header(b)
-	if err != nil {
-		return "", err
-	}
-	key := r.str()
-	if r.err != nil {
-		return "", r.err
-	}
-	return key, nil
-}
-
 // Decode deserializes an encoded snapshot, validating magic, version,
 // checksum and structure. It returns ErrBadMagic, a *VersionError or
 // ErrCorrupt (possibly wrapped) on invalid input; a malformed memory image

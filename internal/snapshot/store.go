@@ -8,8 +8,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 )
 
@@ -24,7 +22,6 @@ type Store interface {
 	Put(key string, data []byte) error
 	Get(key string) ([]byte, error)
 	Delete(key string) error
-	List() ([]string, error)
 }
 
 // MemStore is an in-memory Store for tests and single-process use.
@@ -63,23 +60,11 @@ func (s *MemStore) Delete(key string) error {
 	return nil
 }
 
-func (s *MemStore) List() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
 // DirStore keeps one file per key under a directory. Filenames are the
-// SHA-256 of the key (keys contain characters hostile to filesystems), so
-// List recovers keys by partially decoding each file's header. Writes go
-// through a temp file + rename, making Put atomic — several stserve nodes
-// can safely share one checkpoint directory, which is what lets a cluster
-// resume a dead node's jobs.
+// SHA-256 of the key (keys contain characters hostile to filesystems).
+// Writes go through a temp file + rename, making Put atomic — several
+// stserve nodes can safely share one checkpoint directory, which is what
+// lets a cluster resume a dead node's jobs.
 type DirStore struct {
 	dir string
 }
@@ -93,9 +78,6 @@ func NewDirStore(dir string) (*DirStore, error) {
 	}
 	return &DirStore{dir: dir}, nil
 }
-
-// Dir returns the backing directory.
-func (s *DirStore) Dir() string { return s.dir }
 
 func (s *DirStore) path(key string) string {
 	sum := sha256.Sum256([]byte(key))
@@ -141,32 +123,4 @@ func (s *DirStore) Delete(key string) error {
 		return fmt.Errorf("snapshot: dir store delete: %w", err)
 	}
 	return nil
-}
-
-// List returns the keys of all decodable snapshots in the directory,
-// sorted. Files with unreadable headers (foreign versions, partial writes
-// that escaped the atomic path) are skipped, not errors — a mixed-version
-// shared directory must not break listing.
-func (s *DirStore) List() ([]string, error) {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: dir store list: %w", err)
-	}
-	var keys []string
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), snapExt) {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(s.dir, e.Name()))
-		if err != nil {
-			continue
-		}
-		key, err := DecodeKey(data)
-		if err != nil {
-			continue
-		}
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	return keys, nil
 }
