@@ -142,13 +142,9 @@ func SpecFigure(cpuName string) int {
 	return 0
 }
 
-// SpecOverheads runs Figure 17/18/19/20 for the CPU and writes the rows.
-func SpecOverheads(w io.Writer, cpu *isa.CostModel) ([]*spec.Overhead, error) {
-	return SpecOverheadsWith(w, cpu, Opts{})
-}
-
-// SpecOverheadsWith is SpecOverheads with host-execution options: each SPEC
-// profile is an independent simulation, fanned across host cores.
+// SpecOverheadsWith runs Figure 17/18/19/20 for the CPU and writes the
+// rows. Each SPEC profile is an independent simulation, fanned across host
+// cores.
 func SpecOverheadsWith(w io.Writer, cpu *isa.CostModel, opts Opts) ([]*spec.Overhead, error) {
 	settings, err := spec.SettingsFor(cpu.Name)
 	if err != nil {
@@ -204,15 +200,10 @@ type UniRow struct {
 func (r UniRow) STRel() float64   { return float64(r.STTime) / float64(r.SeqTime) }
 func (r UniRow) CilkRel() float64 { return float64(r.CilkT) / float64(r.SeqTime) }
 
-// Uniprocessor runs Figure 21: serial execution time of StackThreads/MP and
-// Cilk relative to sequential C for every benchmark.
-func Uniprocessor(w io.Writer, sc Scale) ([]UniRow, error) {
-	return UniprocessorWith(w, sc, Opts{})
-}
-
-// UniprocessorWith is Uniprocessor with host-execution options: each
-// benchmark row is computed independently, fanned across host cores, and
-// printed in canonical order afterwards.
+// UniprocessorWith runs Figure 21: serial execution time of StackThreads/MP
+// and Cilk relative to sequential C for every benchmark. Each benchmark row
+// is computed independently, fanned across host cores, and printed in
+// canonical order afterwards.
 func UniprocessorWith(w io.Writer, sc Scale, opts Opts) ([]UniRow, error) {
 	fmt.Fprintln(w, "Figure 21: uniprocessor execution time relative to sequential C")
 	fmt.Fprintf(w, "%-12s %12s %12s\n", "bench", "stackthreads", "cilk")
@@ -268,15 +259,10 @@ type ScaleRow struct {
 // Ratio returns ST elapsed time relative to Cilk at worker index i.
 func (r ScaleRow) Ratio(i int) float64 { return float64(r.STTime[i]) / float64(r.CilkTime[i]) }
 
-// Scaling runs Figure 22: elapsed time of StackThreads/MP relative to Cilk
-// on 1 to 50 (virtual) processors.
-func Scaling(w io.Writer, sc Scale, benches []string) ([]ScaleRow, error) {
-	return ScalingWith(w, sc, benches, Opts{})
-}
-
-// ScalingWith is Scaling with host-execution options: every (benchmark,
-// worker count) point is an independent simulation, fanned across host
-// cores; the table prints in canonical order once all points are in.
+// ScalingWith runs Figure 22: elapsed time of StackThreads/MP relative to
+// Cilk on 1 to 50 (virtual) processors. Every (benchmark, worker count)
+// point is an independent simulation, fanned across host cores; the table
+// prints in canonical order once all points are in.
 func ScalingWith(w io.Writer, sc Scale, benches []string, opts Opts) ([]ScaleRow, error) {
 	if benches == nil {
 		benches = BenchNames

@@ -19,7 +19,7 @@ func out(t *testing.T) io.Writer {
 
 func TestSpecFigures(t *testing.T) {
 	for _, cpu := range isa.CostModels() {
-		rows, err := figures.SpecOverheads(out(t), cpu)
+		rows, err := figures.SpecOverheadsWith(out(t), cpu, figures.Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +30,7 @@ func TestSpecFigures(t *testing.T) {
 }
 
 func TestFig21QuickShape(t *testing.T) {
-	rows, err := figures.Uniprocessor(out(t), figures.Quick)
+	rows, err := figures.UniprocessorWith(out(t), figures.Quick, figures.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFig21QuickShape(t *testing.T) {
 }
 
 func TestFig22QuickShape(t *testing.T) {
-	rows, err := figures.Scaling(out(t), figures.Quick, []string{"fib", "cilksort", "knapsack"})
+	rows, err := figures.ScalingWith(out(t), figures.Quick, []string{"fib", "cilksort", "knapsack"}, figures.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

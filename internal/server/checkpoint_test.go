@@ -431,6 +431,49 @@ func TestStealReclaim(t *testing.T) {
 	}
 }
 
+// TestStealReclaimDuringDrain: a claim that expires while the server drains
+// still requeues its job, a slot finishes it from its continuation, and
+// Drain returns. The queue stays open until nothing is pending, so the
+// requeue needs no path around it.
+func TestStealReclaimDuringDrain(t *testing.T) {
+	s := New(Config{QueueBound: 8, HostProcs: 2, CacheEntries: -1,
+		StealTTL: 300 * time.Millisecond})
+	req := JobRequest{App: "fib", Full: true, Workers: 4, Seed: 10, NoCache: true}
+	j, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "victim running", func() bool { return jobState(s, j) == StateRunning })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, _, _, err := s.StealOne(ctx); err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		s.Drain()
+		close(drained)
+	}()
+	waitFor(t, "drain to begin", s.Draining)
+	if got := s.met.Counter("steals_reclaimed"); got != 0 {
+		t.Fatalf("claim expired before the drain began (steals_reclaimed = %d)", got)
+	}
+	select {
+	case <-drained:
+	case <-time.After(60 * time.Second):
+		t.Fatal("Drain did not return with a stolen job's claim expiring")
+	}
+	if st := jobState(s, j); st != StateDone {
+		t.Fatalf("state = %s (%s), want done", st, jobErr(s, j))
+	}
+	if got := s.met.Counter("steals_reclaimed"); got != 1 {
+		t.Fatalf("steals_reclaimed = %d, want 1", got)
+	}
+	if got := mustOutJSON(t, j.Output()); !bytes.Equal(got, refOutput(t, req)) {
+		t.Fatal("output differs from an undisturbed run")
+	}
+}
+
 // TestSequentialJobYieldsAndAdopts: a seq job runs on the scheduler like
 // any other, so it yields at a pick boundary, and the continuation adopted
 // through ExecOpts.Resume finishes with the same JobOutput bytes as an

@@ -157,7 +157,7 @@ func (s *Server) view(j *Job) JobView {
 		TraceID:  j.traceID,
 		State:    j.state,
 		App:      j.Req.App,
-		Key:      j.Req.CacheKey(),
+		Key:      j.key,
 		Priority: j.Req.Priority,
 		Cache:    j.cacheUse,
 		Error:    j.errMsg,

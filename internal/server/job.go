@@ -41,7 +41,7 @@ type JobRequest struct {
 	FaultPlan string `json:"fault_plan,omitempty"`
 
 	// Serving directives.
-	Priority  int   `json:"priority,omitempty"` // higher dispatches first; FIFO within a class
+	Priority  int   `json:"priority,omitempty"` // higher runs first; FIFO within a class
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	NoCache   bool  `json:"no_cache,omitempty"`
 	Wait      bool  `json:"wait,omitempty"` // POST blocks until the job is terminal
@@ -418,6 +418,7 @@ type Job struct {
 	ID   string
 	Req  JobRequest
 	spec jobSpec // what admission parsed out of Req; execution runs it
+	key  string  // Req.CacheKey(), fixed at admission
 
 	seq uint64 // admission order; the FIFO tiebreak within a priority class
 
@@ -426,7 +427,7 @@ type Job struct {
 	traceID string
 
 	// progress is the live advancement view the executor writes and
-	// /debug/jobs reads; allocated at dispatch, atomics inside.
+	// /debug/jobs reads; allocated when a slot starts it, atomics inside.
 	progress *obs.Progress
 
 	// Guarded by the server mutex.
@@ -443,14 +444,15 @@ type Job struct {
 	hostSpans []obs.HostSpan
 
 	// Checkpoint/steal lifecycle (guarded by the server mutex).
-	cp        *sched.Checkpoint // live capture handle while running
-	resume    []byte            // continuation to adopt at dispatch
-	stolenEnc []byte            // encoded continuation while out for adoption
-	claim     string            // active steal claim token ("" = none)
-	stealCh   chan struct{}     // closed when the job suspends for a waiting thief
-	resumed   bool              // continued from a checkpoint or continuation
-	ckpts     int64             // periodic checkpoints written this lifetime
-	lastCkpt  time.Time         // host time of the last checkpoint
+	cp *sched.Checkpoint // live capture handle while running
+	// enc is the job's encoded continuation: adopted by its next run
+	// while queued, out for adoption while stolen (and kept for reclaim).
+	enc      []byte
+	claim    string        // active steal claim token ("" = none)
+	stealCh  chan struct{} // closed when the job suspends for a waiting thief
+	resumed  bool          // continued from a checkpoint or continuation
+	ckpts    int64         // periodic checkpoints written this lifetime
+	lastCkpt time.Time     // host time of the last checkpoint
 
 	// Host-side timestamps (observability only — never part of any
 	// deterministic artifact).

@@ -5,13 +5,12 @@ import (
 	"sync"
 )
 
-// admitQueue is the bounded admission queue: accepted jobs wait here
-// between admission and dispatch, ordered by (priority descending, arrival
+// admitQueue is the bounded admission queue: accepted jobs wait here until
+// an idle executor slot pops them, ordered by (priority descending, arrival
 // ascending) — strict FIFO within a priority class. Push fails fast when
 // the bound is reached (the HTTP layer turns that into 429 + Retry-After);
 // Pop blocks until a job arrives or the queue closes. After Close, Pop
-// keeps draining the backlog before reporting emptiness: an accepted job is
-// never dropped, which is the drain guarantee SIGTERM relies on.
+// keeps draining the backlog before reporting emptiness.
 type admitQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -28,10 +27,16 @@ func newAdmitQueue(bound int) *admitQueue {
 }
 
 // Push admits j, reporting false when the queue is full or closed.
-func (q *admitQueue) Push(j *Job) bool {
+func (q *admitQueue) Push(j *Job) bool { return q.push(j, false) }
+
+// Requeue puts back a job that was admitted earlier and suspended since.
+// It ignores the bound: refusing it would strand an accepted job.
+func (q *admitQueue) Requeue(j *Job) { q.push(j, true) }
+
+func (q *admitQueue) push(j *Job, admitted bool) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed || len(q.heap) >= q.bound {
+	if !admitted && (q.closed || len(q.heap) >= q.bound) {
 		return false
 	}
 	j.seq = q.seq

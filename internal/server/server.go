@@ -1,6 +1,6 @@
 // Package server is the job-execution service: it accepts StackThreads/
 // Cilk simulation jobs over an HTTP+JSON API, multiplexes them across host
-// cores on a fixed set of supervised executor slots, and serves back core.Result plus the
+// cores on a fixed set of executor slots, and serves back core.Result plus the
 // deterministic observability artifacts (metrics snapshot, phase report,
 // Chrome trace).
 //
@@ -10,19 +10,20 @@
 // cacheable and a cache hit is indistinguishable — byte for byte — from a
 // fresh execution. Around that sit the classic serving shapes:
 //
-//   - admission control: a bounded queue; when it is full, submissions are
-//     rejected immediately (HTTP 429 + Retry-After) rather than queued
-//     without bound. Dispatch is priority-then-FIFO.
-//   - execution: a fixed set of supervised executor slots, one job per
-//     host slot.
+//   - admission control: a bounded queue of waiting jobs; when it is full,
+//     submissions are rejected immediately (HTTP 429 + Retry-After) rather
+//     than queued without bound.
+//   - execution: a fixed set of executor slots, one job per slot. An idle
+//     slot pulls the next job off the queue, priority-then-FIFO; nothing
+//     is ever handed to a busy slot.
 //   - cancellation and deadlines: every job carries a context; DELETE or a
 //     timeout cancels it cooperatively through core.Config.Ctx, and a
 //     per-job MaxWorkCycles virtual budget bounds runaway tuples.
 //   - graceful drain: Drain stops admission, runs every already-accepted
-//     job to a terminal state, then stops the executors. No accepted
-//     request is ever dropped.
-//   - failure containment: each job runs on a supervised executor slot. A
-//     panic takes down exactly that job (the slot is restarted), a
+//     job to a terminal state, then stops the slots. No accepted request
+//     is ever dropped.
+//   - failure containment: a panic while serving a job fails exactly that
+//     job and its slot moves on to the next, a
 //     watchdog bounds each job's wall clock, and a sliding-window breaker
 //     sheds load when the host itself is failing. Every failure carries a
 //     typed taxonomy class: fault, invariant, panic, timeout, or shed.
@@ -81,7 +82,7 @@ const keptTerminal = 256
 const (
 	FailFault     = "fault"     // injected fault (typed *fault.Error)
 	FailInvariant = "invariant" // §3.2 or conservation violation (typed *invariant.Violation)
-	FailPanic     = "panic"     // executor panic (host bug; slot was restarted)
+	FailPanic     = "panic"     // executor panic (host bug; contained to the job)
 	FailTimeout   = "timeout"   // deadline or watchdog
 	FailShed      = "shed"      // rejected by the load-shedding breaker
 )
@@ -90,8 +91,9 @@ const (
 type Config struct {
 	// QueueBound caps the admission queue (default 64).
 	QueueBound int
-	// HostProcs is the executor pool size — how many jobs run concurrently
-	// across host cores (default hostpar.Procs(0), i.e. GOMAXPROCS).
+	// HostProcs is the number of executor slots — how many jobs run
+	// concurrently across host cores (default hostpar.Procs(0), i.e.
+	// GOMAXPROCS).
 	HostProcs int
 	// CacheEntries bounds the result cache's LRU (default 256; negative
 	// disables caching).
@@ -169,7 +171,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	queue   *admitQueue
-	exec    *executor
+	slots   sync.WaitGroup // the executor slots; Done when the queue closes
 	cache   *resultCache
 	met     *serverMetrics
 	breaker *breaker
@@ -191,48 +193,45 @@ type Server struct {
 	pending  int // accepted but not yet terminal (queued + running)
 	running  int
 	draining bool
-	attempts map[string]int // per-key execution count (serving-fault rolls)
-
-	dispatchDone chan struct{}
+	// attempts counts executions per key since the key's last success;
+	// the serving-fault rolls read it, so a retry after a failure re-rolls.
+	attempts map[string]int
 }
 
-// New creates and starts a server: the executor slots are live and the
-// dispatcher is pulling from the admission queue.
+// New creates and starts a server: its executor slots are live and
+// pulling from the admission queue.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:          cfg,
-		queue:        newAdmitQueue(cfg.QueueBound),
-		cache:        newResultCache(cfg.CacheEntries),
-		met:          newServerMetrics(),
-		breaker:      newBreaker(cfg.BreakerWindow, cfg.BreakerThreshold, cfg.BreakerCooldown),
-		host:         cfg.HostSpans,
-		cont:         &sched.Contention{},
-		log:          cfg.Log,
-		jobs:         make(map[string]*Job),
-		attempts:     make(map[string]int),
-		dispatchDone: make(chan struct{}),
+		cfg:      cfg,
+		queue:    newAdmitQueue(cfg.QueueBound),
+		cache:    newResultCache(cfg.CacheEntries),
+		met:      newServerMetrics(),
+		breaker:  newBreaker(cfg.BreakerWindow, cfg.BreakerThreshold, cfg.BreakerCooldown),
+		host:     cfg.HostSpans,
+		cont:     &sched.Contention{},
+		log:      cfg.Log,
+		jobs:     make(map[string]*Job),
+		attempts: make(map[string]int),
 	}
 	s.drainCond = sync.NewCond(&s.mu)
 	s.mux = s.newMux()
-	s.exec = newExecutor(s, cfg.HostProcs)
 	s.met.Set("host_procs", int64(cfg.HostProcs))
-	go s.dispatch()
+	s.slots.Add(cfg.HostProcs)
+	for i := 0; i < cfg.HostProcs; i++ {
+		go s.slot()
+	}
 	return s
 }
 
-// dispatch moves jobs from the admission queue onto executor slots.
-// executor.submit blocks while every slot is busy, so the queue — not an
-// unbounded goroutine pile — absorbs the backlog.
-func (s *Server) dispatch() {
-	defer close(s.dispatchDone)
-	for {
-		j := s.queue.Pop()
-		if j == nil {
-			return // closed and drained
-		}
+// slot is one executor slot: it takes the next job only when it is idle,
+// so a waiting job stays in the queue — counted against the bound and
+// ordered by priority — until a slot is free to run it.
+func (s *Server) slot() {
+	defer s.slots.Done()
+	for j := s.queue.Pop(); j != nil; j = s.queue.Pop() {
 		s.met.Set("queue_depth", int64(s.queue.Len()))
-		s.exec.submit(j)
+		s.runJob(j)
 	}
 }
 
@@ -278,11 +277,12 @@ func (s *Server) admit(req JobRequest, sp jobSpec, traceID string, resume []byte
 		ID:        fmt.Sprintf("j-%d", s.nextID),
 		Req:       req,
 		spec:      sp,
+		key:       req.CacheKey(),
 		traceID:   traceID,
 		state:     StateQueued,
 		phase:     "queued",
 		submitted: time.Now(),
-		resume:    resume,
+		enc:       resume,
 		ctx:       ctx,
 		cancel:    cancel,
 		done:      make(chan struct{}),
@@ -340,7 +340,7 @@ func (s *Server) Job(id string) (*Job, error) {
 }
 
 // Cancel cancels a job: a queued job transitions to canceled immediately
-// (it will be skipped at dispatch); a running job's context is canceled and
+// (its slot skips it on pop); a running job's context is canceled and
 // the scheduler aborts at its next pick. Terminal jobs are left untouched.
 func (s *Server) Cancel(id string) (*Job, error) {
 	s.mu.Lock()
@@ -351,7 +351,7 @@ func (s *Server) Cancel(id string) (*Job, error) {
 	}
 	switch j.state {
 	case StateQueued, StateStolen:
-		// Queued: skipped at dispatch. Stolen: the claim dies with the
+		// Queued: skipped on pop. Stolen: the claim dies with the
 		// terminal transition, so a late thief completion is rejected.
 		s.finishLocked(j, nil, context.Canceled, "")
 	case StateRunning:
@@ -384,8 +384,16 @@ func (s *Server) noteExec(j *Job, event string) {
 	}
 }
 
-// runJob executes one dispatched job on an executor slot.
+// runJob executes one popped job on the calling slot. A panic in the
+// slot's own serving code is recovered here, and one recovered on the
+// execution child is handed over below; both fail only this job
+// (failPanic) and the slot goes back to the queue.
 func (s *Server) runJob(j *Job) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.failPanic(j, r)
+		}
+	}()
 	s.mu.Lock()
 	if j.state != StateQueued {
 		// Canceled while waiting in the queue; nothing to run.
@@ -420,7 +428,7 @@ func (s *Server) runJob(j *Job) {
 		defer cancel()
 	}
 
-	key := j.Req.CacheKey()
+	key := j.key
 	cacheUse := "bypass"
 	if !j.Req.NoCache {
 		probe0 := time.Now()
@@ -438,8 +446,8 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.mu.Lock()
 	j.phase = "execute"
-	resume := j.resume
-	j.resume = nil
+	resume := j.enc
+	j.enc = nil
 	s.attempts[key]++
 	attempt := s.attempts[key]
 	s.mu.Unlock()
@@ -498,9 +506,8 @@ func (s *Server) runJob(j *Job) {
 			obs.Arg{K: "work_cycles", V: j.progress.WorkCycles.Load()},
 			obs.Arg{K: "picks", V: j.progress.Picks.Load()})
 		if r.pan != nil {
-			// Re-raise on the slot: the supervisor isolates the job and
-			// restarts the slot (see executor.run).
-			panic(r.pan)
+			s.failPanic(j, r.pan)
+			return
 		}
 		var susp *SuspendedError
 		if errors.As(r.err, &susp) {
@@ -538,16 +545,27 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// slotPanicked is the executor supervisor's callback: terminate the job
-// whose execution panicked with a typed failure. The slot itself is being
-// restarted by the caller.
-func (s *Server) slotPanicked(j *Job, r any) {
+// failPanic is where every panic met while serving a job ends: the job
+// fails typed and executor_restarts counts the contained panic.
+func (s *Server) failPanic(j *Job, r any) {
 	s.met.Add("executor_restarts", 1)
-	if j == nil {
-		return
-	}
-	s.logEvent("executor panic, slot restarted", "trace_id", j.traceID, "job", j.ID)
+	s.logEvent("executor panic, job failed", "trace_id", j.traceID, "job", j.ID)
 	s.finishJob(j, nil, &panicError{v: r}, "")
+}
+
+// panicError wraps a value recovered from an executor panic. Unwrap
+// exposes error panics (e.g. an injected *fault.Error) to errors.As, so
+// the failure taxonomy can distinguish an injected fault from a genuine
+// host bug.
+type panicError struct{ v any }
+
+func (p *panicError) Error() string { return fmt.Sprintf("server: executor panicked: %v", p.v) }
+
+func (p *panicError) Unwrap() error {
+	if err, ok := p.v.(error); ok {
+		return err
+	}
+	return nil
 }
 
 // finishJob moves a job to its terminal state and wakes waiters.
@@ -578,6 +596,9 @@ func (s *Server) finishLocked(j *Job, out *JobOutput, err error, cacheUse string
 	case err == nil:
 		j.state = StateDone
 		j.out = out
+		// A success ends the key's fault-roll sequence, so the map holds
+		// only keys with a live or failed job.
+		delete(s.attempts, j.key)
 		s.met.Add("jobs_completed", 1)
 	case errors.Is(err, ErrWatchdog):
 		j.state = StateTimeout
@@ -622,8 +643,7 @@ func (s *Server) finishLocked(j *Job, out *JobOutput, err error, cacheUse string
 	// and a thief blocked in StealOne is woken to find the job gone.
 	j.cp = nil
 	j.claim = ""
-	j.stolenEnc = nil
-	j.resume = nil
+	j.enc = nil
 	if j.stealCh != nil {
 		close(j.stealCh)
 		j.stealCh = nil
@@ -652,29 +672,27 @@ func (s *Server) Draining() bool {
 }
 
 // Drain gracefully shuts the serving loop down: stop admitting, run every
-// accepted job (queued or running) to a terminal state, then stop the
-// dispatcher and the executor pool. It blocks until the drain is complete
-// and is idempotent. The HTTP listener should be shut down after Drain so
-// in-flight waiters get their responses.
+// accepted job (queued, running or stolen) to a terminal state, then stop
+// the slots. It blocks until the drain is complete and is idempotent. The
+// HTTP listener should be shut down after Drain so in-flight waiters get
+// their responses.
 func (s *Server) Drain() {
 	t0 := time.Now()
 	s.mu.Lock()
 	first := !s.draining
 	backlog := s.pending
-	if first {
-		s.draining = true
-		s.met.Set("draining", 1)
-		// Closing the queue stops admission at the queue too; the
-		// dispatcher keeps popping the backlog until empty.
-		s.queue.Close()
-	}
+	s.draining = true
+	s.met.Set("draining", 1)
 	for s.pending > 0 {
 		s.drainCond.Wait()
 	}
 	s.mu.Unlock()
-	<-s.dispatchDone
+	// Admission has been refused under s.mu since draining was set, and
+	// no job is pending, so nothing can enter the queue any more: closing
+	// it ends each slot's loop once any canceled leftovers are popped.
+	s.queue.Close()
+	s.slots.Wait()
 	if first {
-		s.exec.close()
 		s.host.Span("", "", "drain", t0, time.Now(), obs.Arg{K: "backlog", V: int64(backlog)})
 		s.logEvent("drained", "backlog", backlog, "drain_us", time.Since(t0).Microseconds())
 	}
@@ -788,7 +806,7 @@ func (s *Server) DebugSnapshot() DebugView {
 			ID:       j.ID,
 			TraceID:  j.traceID,
 			App:      j.Req.App,
-			Key:      j.Req.CacheKey(),
+			Key:      j.key,
 			State:    j.state,
 			Phase:    j.phase,
 			Priority: j.Req.Priority,
@@ -819,6 +837,8 @@ func (s *Server) DebugSnapshot() DebugView {
 }
 
 // Stats summarizes the lifetime counters (used by the drain banner).
+// ExecutorRestarts (metric executor_restarts) counts panics contained to
+// their job; the slot that met one keeps serving.
 type Stats struct {
 	Accepted, Completed, Failed, Canceled, Timeout int64
 	CacheHits, CacheMisses                         int64

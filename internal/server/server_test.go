@@ -146,20 +146,18 @@ func TestRemovedEngineRejected(t *testing.T) {
 }
 
 // TestAdmissionBackpressure drives the queue to its bound deterministically:
-// one executor runs the blocker, the dispatcher holds one popped job while
-// the pool is busy, the queue holds one more, and the next submission is
-// rejected with ErrQueueFull. Every accepted job still reaches a terminal
-// state — admission control never drops what it accepted.
+// the one slot runs the blocker, the queue holds two waiting jobs, and the
+// next submission is rejected with ErrQueueFull. Every accepted job still
+// reaches a terminal state — admission control never drops what it
+// accepted.
 func TestAdmissionBackpressure(t *testing.T) {
-	s := New(Config{QueueBound: 1, HostProcs: 1, CacheEntries: -1})
+	s := New(Config{QueueBound: 2, HostProcs: 1, CacheEntries: -1})
 	b := blocker(t, s)
 
 	j2, err := s.Submit(JobRequest{App: "fib", Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The dispatcher pops j2 and parks in Pool.Submit (executor busy).
-	waitFor(t, "dispatcher to hold j2", func() bool { return s.queue.Len() == 0 })
 	j3, err := s.Submit(JobRequest{App: "fib", Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -186,17 +184,131 @@ func TestAdmissionBackpressure(t *testing.T) {
 	}
 }
 
-func TestCancelQueuedJob(t *testing.T) {
-	s := New(Config{QueueBound: 4, HostProcs: 1, CacheEntries: -1})
-	b := blocker(t, s)
+// settle gives an idle slot ample time to take a job. With the one slot
+// pinned by the blocker, a job submitted before it must still be waiting in
+// the queue afterwards: no job is handed to a busy slot.
+func settle() { time.Sleep(50 * time.Millisecond) }
 
-	// Park one job in the dispatcher, then queue the cancellation target so
-	// it is canceled while still waiting for dispatch.
+// TestQueueBoundCountsWaitingJob: with the slot busy and QueueBound 1, the
+// one waiting job fills the queue, so the next submission is refused —
+// ErrQueueFull in process, 429 over HTTP — and nothing is admitted past
+// the bound.
+func TestQueueBoundCountsWaitingJob(t *testing.T) {
+	s := New(Config{QueueBound: 1, HostProcs: 1, CacheEntries: -1})
+	b := blocker(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
 	j2, err := s.Submit(JobRequest{App: "fib", Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "dispatcher to hold j2", func() bool { return s.queue.Len() == 0 })
+	settle()
+	if _, err := s.Submit(JobRequest{App: "fib", Seed: 3}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("second waiting job: err = %v, want ErrQueueFull", err)
+	}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"app":"fib","seed":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("POST /jobs status = %d, want 429", resp.StatusCode)
+	}
+	if _, err := s.Cancel(b.ID); err != nil {
+		t.Fatal(err)
+	}
+	s.Drain()
+	if st := jobState(s, j2); st != StateDone {
+		t.Fatalf("waiting job state = %s (%s), want done", st, jobErr(s, j2))
+	}
+	if got := s.Stats().Accepted; got != 2 {
+		t.Fatalf("accepted = %d, want 2 (blocker and one waiting job)", got)
+	}
+}
+
+// TestQueueDepthCountsWaitingJob: a job waiting for the busy slot shows in
+// the debug snapshot's queue depth and the queue_depth gauge.
+func TestQueueDepthCountsWaitingJob(t *testing.T) {
+	s := New(Config{QueueBound: 4, HostProcs: 1, CacheEntries: -1})
+	b := blocker(t, s)
+	if _, err := s.Submit(JobRequest{App: "fib", Seed: 2}); err != nil {
+		t.Fatal(err)
+	}
+	settle()
+	if d := s.DebugSnapshot().QueueDepth; d != 1 {
+		t.Fatalf("DebugSnapshot().QueueDepth = %d, want 1", d)
+	}
+	if d := s.met.Snapshot().Gauges["queue_depth"]; d != 1 {
+		t.Fatalf("queue_depth gauge = %d, want 1", d)
+	}
+	if _, err := s.Cancel(b.ID); err != nil {
+		t.Fatal(err)
+	}
+	s.Drain()
+}
+
+// TestPriorityOvertakesWaitingJob: with the slot busy, a priority-5 job
+// admitted after a priority-0 one starts first — the order is
+// priority-then-FIFO over every job that waits.
+func TestPriorityOvertakesWaitingJob(t *testing.T) {
+	s := New(Config{QueueBound: 4, HostProcs: 1, CacheEntries: -1})
+	b := blocker(t, s)
+	low, err := s.Submit(JobRequest{App: "fib", Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	settle()
+	high, err := s.Submit(JobRequest{App: "fib", Seed: 3, Priority: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Cancel(b.ID); err != nil {
+		t.Fatal(err)
+	}
+	s.Drain()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if low.state != StateDone || high.state != StateDone {
+		t.Fatalf("states low=%s high=%s, want done", low.state, high.state)
+	}
+	if !high.started.Before(low.started) {
+		t.Fatalf("priority-5 job started at %v, after the earlier priority-0 job at %v",
+			high.started, low.started)
+	}
+}
+
+// TestAttemptsForgottenOnSuccess: the per-key attempt count is dropped when
+// the key's job succeeds, so distinct tuples do not accumulate entries
+// beyond what the job table and the cache keep.
+func TestAttemptsForgottenOnSuccess(t *testing.T) {
+	s := New(Config{QueueBound: 64, HostProcs: 2, CacheEntries: 16})
+	for i := 0; i < 300; i++ {
+		j, err := s.Submit(JobRequest{App: "fib", Seed: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitDone(t, j)
+	}
+	s.Drain()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.attempts); n != 0 {
+		t.Fatalf("attempts holds %d keys after 300 successful jobs, want 0", n)
+	}
+}
+
+func TestCancelQueuedJob(t *testing.T) {
+	s := New(Config{QueueBound: 4, HostProcs: 1, CacheEntries: -1})
+	b := blocker(t, s)
+
+	// Queue two jobs behind the blocker and cancel the second while it
+	// still waits for the slot.
+	j2, err := s.Submit(JobRequest{App: "fib", Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	j3, err := s.Submit(JobRequest{App: "fib", Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +325,7 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Drain()
-	// The dispatcher must have skipped the canceled job, not run it.
+	// The slot must have skipped the canceled job, not run it.
 	if j3.out != nil {
 		t.Fatal("canceled queued job produced output")
 	}
@@ -453,19 +565,16 @@ func TestHTTPAPI(t *testing.T) {
 
 // TestHTTPBackpressureStatus: a full queue surfaces as 429 + Retry-After.
 func TestHTTPBackpressureStatus(t *testing.T) {
-	s := New(Config{QueueBound: 1, HostProcs: 1, CacheEntries: -1})
+	s := New(Config{QueueBound: 2, HostProcs: 1, CacheEntries: -1})
 	b := blocker(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Fill the dispatcher slot and the queue, then expect rejection.
-	j2, err := s.Submit(JobRequest{App: "fib", Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "dispatcher to hold j2", func() bool { return s.queue.Len() == 0 })
-	if _, err := s.Submit(JobRequest{App: "fib", Seed: 3}); err != nil {
-		t.Fatal(err)
+	// Fill the queue behind the busy slot, then expect rejection.
+	for seed := uint64(2); seed <= 3; seed++ {
+		if _, err := s.Submit(JobRequest{App: "fib", Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	resp, err := http.Post(ts.URL+"/jobs", "application/json",
 		strings.NewReader(`{"app":"fib","seed":4}`))
@@ -482,7 +591,6 @@ func TestHTTPBackpressureStatus(t *testing.T) {
 	if _, err := s.Cancel(b.ID); err != nil {
 		t.Fatal(err)
 	}
-	_ = j2
 	s.Drain()
 
 	// Draining surfaces as 503.
@@ -498,9 +606,9 @@ func TestHTTPBackpressureStatus(t *testing.T) {
 }
 
 // TestExecutePanicIsJobFailure: an executor panic fails the one job with a
-// typed failure and the supervisor restarts the slot. With a single slot,
-// the follow-up job can only reach a terminal state if the restart
-// actually happened.
+// typed failure and the slot goes back to the queue. With a single slot,
+// the follow-up job can only reach a terminal state if the slot survived
+// the first panic.
 func TestExecutePanicIsJobFailure(t *testing.T) {
 	inj := fault.New(&fault.Plan{Name: "test", Seed: 1, ExecPanicPct: 100})
 	s := New(Config{QueueBound: 4, HostProcs: 1, CacheEntries: -1, Fault: inj,
@@ -517,8 +625,8 @@ func TestExecutePanicIsJobFailure(t *testing.T) {
 	if f := jobFailure(s, j); f != FailFault {
 		t.Fatalf("failure = %q, want %q (injected panic)", f, FailFault)
 	}
-	// The slot must have been replaced: a second job still executes (and
-	// fails the same typed way, since the plan panics every execution).
+	// The slot must still be serving: a second job executes (and fails
+	// the same typed way, since the plan panics every execution).
 	j2, err := s.Submit(JobRequest{App: "fib", Seed: 2})
 	if err != nil {
 		t.Fatal(err)

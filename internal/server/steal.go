@@ -95,7 +95,7 @@ func (s *Server) StealOne(ctx context.Context) (*Job, string, []byte, error) {
 			// job for this steal, which is now abandoned. No claim was
 			// minted, so no reclaim timer will ever requeue it — do it
 			// here, or the job is stranded in "stolen" forever.
-			s.requeueLocked(victim, victim.stolenEnc)
+			s.requeueLocked(victim)
 		}
 		s.mu.Unlock()
 		return nil, "", nil, ctx.Err()
@@ -109,7 +109,7 @@ func (s *Server) StealOne(ctx context.Context) (*Job, string, []byte, error) {
 	}
 	claim := randHex(16) // unguessable, single-use
 	victim.claim = claim
-	enc := victim.stolenEnc
+	enc := victim.enc
 	time.AfterFunc(s.cfg.StealTTL, func() { s.reclaim(victim, claim) })
 	s.met.Add("steals_out", 1)
 	s.logEvent("job stolen", "trace_id", victim.traceID, "job", victim.ID,
@@ -132,32 +132,28 @@ func (s *Server) suspendJob(j *Job, susp *SuspendedError) {
 	waiter := j.stealCh
 	j.stealCh = nil
 	j.cp = nil
+	j.enc = susp.Enc
 	if waiter == nil {
-		s.requeueLocked(j, susp.Enc)
+		s.requeueLocked(j)
 		s.mu.Unlock()
 		return
 	}
 	j.state = StateStolen
 	j.phase = "stolen"
-	j.stolenEnc = susp.Enc
 	s.met.Add("jobs_suspended", 1)
 	s.mu.Unlock()
 	close(waiter)
 }
 
-// requeueLocked puts a suspended job back on the admission path carrying
-// its continuation; the caller holds s.mu. The job was already admitted
-// (it counts as pending), so a closed or full queue falls through to a
-// direct executor submit — the drain guarantee covers it.
-func (s *Server) requeueLocked(j *Job, enc []byte) {
+// requeueLocked puts a suspended job back in the queue; its next run adopts
+// the continuation in j.enc. The caller holds s.mu. The job was already
+// admitted and is still pending, so Drain has not closed the queue, and
+// the requeue does not count against the bound.
+func (s *Server) requeueLocked(j *Job) {
 	j.state = StateQueued
 	j.phase = "requeued"
-	j.resume = enc
-	j.stolenEnc = nil
 	j.claim = ""
-	if !s.queue.Push(j) {
-		go s.exec.submit(j)
-	}
+	s.queue.Requeue(j)
 	s.met.Set("queue_depth", int64(s.queue.Len()))
 }
 
@@ -170,10 +166,9 @@ func (s *Server) reclaim(j *Job, claim string) {
 	if j.state != StateStolen || j.claim != claim {
 		return
 	}
-	enc := j.stolenEnc
 	s.met.Add("steals_reclaimed", 1)
 	s.logEvent("steal claim expired, requeueing locally", "trace_id", j.traceID, "job", j.ID)
-	s.requeueLocked(j, enc)
+	s.requeueLocked(j)
 }
 
 // CompleteStolen finishes a stolen job with the output its thief computed.
@@ -197,7 +192,7 @@ func (s *Server) CompleteStolen(id, claim string, out *JobOutput) error {
 	}
 	s.finishLocked(j, out, nil, "stolen")
 	s.mu.Unlock()
-	key := j.Req.CacheKey()
+	key := j.key
 	if !j.Req.NoCache {
 		if ev := s.cache.Put(key, out); ev > 0 {
 			s.met.Add("cache_evictions", int64(ev))
