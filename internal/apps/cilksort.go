@@ -65,27 +65,22 @@ func Cilksort(n int64, v Variant, seed uint64) *Workload {
 
 	w.HeapWords = int(2*n) + 1<<12
 	input := randInts(n, seed)
+	want := slices.Clone(input)
+	slices.Sort(want)
+	l := newHeapLayout(n, n)
+	a, t := l.addrs[0], l.addrs[1]
 	w.Setup = func(m *mem.Memory) ([]int64, error) {
-		a, err := m.Alloc(n)
-		if err != nil {
-			return nil, err
-		}
-		t, err := m.Alloc(n)
-		if err != nil {
+		if err := l.alloc(m); err != nil {
 			return nil, err
 		}
 		m.WriteWords(a, input)
-		aAddr := a
-		w.Verify = func(m *mem.Memory, _ int64) error {
-			got := m.ReadWords(aAddr, n)
-			want := slices.Clone(input)
-			slices.Sort(want)
-			if !slices.Equal(got, want) {
-				return fmt.Errorf("cilksort: output not the sorted input")
-			}
-			return nil
-		}
 		return []int64{a, t, n}, nil
+	}
+	w.Verify = func(m *mem.Memory, _ int64) error {
+		if !slices.Equal(m.ReadWords(a, n), want) {
+			return fmt.Errorf("cilksort: output not the sorted input")
+		}
+		return nil
 	}
 	return w
 }

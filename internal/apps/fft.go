@@ -242,30 +242,25 @@ func fftSetup(w *Workload, n int64, seed uint64) {
 	}
 
 	w.HeapWords = int(4*n) + 1<<10
+	l := newHeapLayout(n, n, n, n)
+	reB, imB, t1, t2 := l.addrs[0], l.addrs[1], l.addrs[2], l.addrs[3]
 	w.Setup = func(m *mem.Memory) ([]int64, error) {
-		reB, err := m.Alloc(n)
-		if err != nil {
-			return nil, err
-		}
-		imB, _ := m.Alloc(n)
-		t1, _ := m.Alloc(n)
-		t2, err := m.Alloc(n)
-		if err != nil {
+		if err := l.alloc(m); err != nil {
 			return nil, err
 		}
 		m.WriteFloats(reB, re)
 		m.WriteFloats(imB, im)
-		w.Verify = func(m *mem.Memory, _ int64) error {
-			gr := m.ReadFloats(reB, n)
-			gi := m.ReadFloats(imB, n)
-			scale := math.Sqrt(float64(n))
-			for i := range gr {
-				if math.Abs(gr[i]-wantRe[i]) > 1e-6*scale || math.Abs(gi[i]-wantIm[i]) > 1e-6*scale {
-					return fmt.Errorf("fft[%d] = (%g,%g), want (%g,%g)", i, gr[i], gi[i], wantRe[i], wantIm[i])
-				}
-			}
-			return nil
-		}
 		return []int64{reB, imB, t1, t2, n}, nil
+	}
+	w.Verify = func(m *mem.Memory, _ int64) error {
+		gr := m.ReadFloats(reB, n)
+		gi := m.ReadFloats(imB, n)
+		scale := math.Sqrt(float64(n))
+		for i := range gr {
+			if math.Abs(gr[i]-wantRe[i]) > 1e-6*scale || math.Abs(gi[i]-wantIm[i]) > 1e-6*scale {
+				return fmt.Errorf("fft[%d] = (%g,%g), want (%g,%g)", i, gr[i], gi[i], wantRe[i], wantIm[i])
+			}
+		}
+		return nil
 	}
 }

@@ -253,29 +253,25 @@ func heatSetup(w *Workload, nx, ny, steps int64, seed uint64) {
 	want := cur
 
 	w.HeapWords = int(2*nx*ny) + 1<<10
+	l := newHeapLayout(nx*ny, nx*ny, 4)
+	a, bGrid, env := l.addrs[0], l.addrs[1], l.addrs[2]
 	w.Setup = func(m *mem.Memory) ([]int64, error) {
-		a, err := m.Alloc(nx * ny)
-		if err != nil {
-			return nil, err
-		}
-		bGrid, _ := m.Alloc(nx * ny)
-		env, err := m.Alloc(4)
-		if err != nil {
+		if err := l.alloc(m); err != nil {
 			return nil, err
 		}
 		m.WriteFloats(a, init0)
 		m.WriteWords(env, []int64{a, bGrid, nx, ny})
-		w.Verify = func(m *mem.Memory, _ int64) error {
-			// After an even/odd number of swaps, env[0] is the final grid.
-			final := m.Load(env + 0)
-			got := m.ReadFloats(final, nx*ny)
-			for i := range got {
-				if math.Abs(got[i]-want[i]) > 1e-9 {
-					return fmt.Errorf("heat[%d] = %g, want %g", i, got[i], want[i])
-				}
-			}
-			return nil
-		}
 		return []int64{env, steps}, nil
+	}
+	w.Verify = func(m *mem.Memory, _ int64) error {
+		// After an even/odd number of swaps, env[0] is the final grid.
+		final := m.Load(env + 0)
+		got := m.ReadFloats(final, nx*ny)
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > 1e-9 {
+				return fmt.Errorf("heat[%d] = %g, want %g", i, got[i], want[i])
+			}
+		}
+		return nil
 	}
 }

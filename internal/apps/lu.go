@@ -264,26 +264,23 @@ func luSetup(w *Workload, n int64, seed uint64) {
 	}
 
 	w.HeapWords = int(n*n) + 1<<10
+	l := newHeapLayout(n*n, 2)
+	aBase, env := l.addrs[0], l.addrs[1]
 	w.Setup = func(m *mem.Memory) ([]int64, error) {
-		aBase, err := m.Alloc(n * n)
-		if err != nil {
-			return nil, err
-		}
-		env, err := m.Alloc(2)
-		if err != nil {
+		if err := l.alloc(m); err != nil {
 			return nil, err
 		}
 		m.WriteFloats(aBase, a)
 		m.WriteWords(env, []int64{aBase, n})
-		w.Verify = func(m *mem.Memory, _ int64) error {
-			got := m.ReadFloats(aBase, n*n)
-			for i := range got {
-				if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-					return fmt.Errorf("lu[%d] = %g, want %g", i, got[i], want[i])
-				}
-			}
-			return nil
-		}
 		return []int64{env}, nil
+	}
+	w.Verify = func(m *mem.Memory, _ int64) error {
+		got := m.ReadFloats(aBase, n*n)
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+				return fmt.Errorf("lu[%d] = %g, want %g", i, got[i], want[i])
+			}
+		}
+		return nil
 	}
 }

@@ -19,7 +19,7 @@ import (
 // matmulRowCut is the row grain of the recursive variants.
 const matmulRowCut = 2
 
-// matmulSetup builds Setup/Verify closures for an n×n multiply.
+// matmulSetup binds Setup and Verify for an n×n multiply.
 func matmulSetup(w *Workload, n int64, seed uint64, extraHeap int64) {
 	a := randFloats(n*n, seed)
 	bm := randFloats(n*n, seed+1)
@@ -33,30 +33,25 @@ func matmulSetup(w *Workload, n int64, seed uint64, extraHeap int64) {
 		}
 	}
 	w.HeapWords = int(3*n*n+extraHeap) + 1<<12
+	l := newHeapLayout(n*n, n*n, n*n, 4)
+	aBase, bBase, cBase, env := l.addrs[0], l.addrs[1], l.addrs[2], l.addrs[3]
 	w.Setup = func(m *mem.Memory) ([]int64, error) {
-		aBase, err := m.Alloc(n * n)
-		if err != nil {
-			return nil, err
-		}
-		bBase, _ := m.Alloc(n * n)
-		cBase, _ := m.Alloc(n * n)
-		env, err := m.Alloc(4)
-		if err != nil {
+		if err := l.alloc(m); err != nil {
 			return nil, err
 		}
 		m.WriteFloats(aBase, a)
 		m.WriteFloats(bBase, bm)
 		m.WriteWords(env, []int64{aBase, bBase, cBase, n})
-		w.Verify = func(m *mem.Memory, _ int64) error {
-			got := m.ReadFloats(cBase, n*n)
-			for i := range got {
-				if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-					return fmt.Errorf("C[%d] = %g, want %g", i, got[i], want[i])
-				}
-			}
-			return nil
-		}
 		return []int64{env}, nil
+	}
+	w.Verify = func(m *mem.Memory, _ int64) error {
+		got := m.ReadFloats(cBase, n*n)
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+				return fmt.Errorf("C[%d] = %g, want %g", i, got[i], want[i])
+			}
+		}
+		return nil
 	}
 }
 

@@ -354,10 +354,10 @@ func Resume(w *apps.Workload, cfg Config, b *sched.Boundary) (*Result, error) {
 		return nil, fmt.Errorf("core: resume: incomplete boundary")
 	}
 	// Reconstruct the machine exactly as the capturing run's prepare did —
-	// including the workload's memory setup, whose deterministic allocations
-	// both recreate any addresses the workload's Verify closure captured and
-	// keep the construction identical. The captured image then overwrites
-	// memory wholesale.
+	// including the workload's memory setup, whose allocations land on the
+	// fixed heap layout the workload's Verify is bound to, so the
+	// construction is identical. The captured image then overwrites memory
+	// wholesale.
 	m, _, err := prepare(prog, w, &cfg)
 	if err != nil {
 		return nil, err

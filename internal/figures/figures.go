@@ -11,6 +11,7 @@ package figures
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -65,18 +66,59 @@ var BenchNames = []string{
 	"lu", "fft", "spacemul", "blockedmul", "magic",
 }
 
-// Workload builds the named benchmark at the given scale and variant.
+// Workload returns the named benchmark at the given scale and variant. The
+// workload is built once per process and shared: every call with the same
+// (name, scale, variant) returns the same immutable *apps.Workload, whose
+// Compile is memoized too, so no run pays for a rebuild or a recompile.
+// Unknown names are refused without entering the cache.
 func Workload(name string, sc Scale, v apps.Variant) (*apps.Workload, error) {
+	// builder and the apps constructors read any scale but Full as Quick
+	// and any variant but Seq as ST; the cache key does the same.
+	if sc != Full {
+		sc = Quick
+	}
+	if v != apps.Seq {
+		v = apps.ST
+	}
 	build, err := builder(name, sc, v)
 	if err != nil {
 		return nil, err
 	}
-	return build(), nil
+	k := workloadKey{name, sc, v}
+	workloadsMu.Lock()
+	ent := workloads[k]
+	if ent == nil {
+		ent = new(workloadEntry)
+		workloads[k] = ent
+	}
+	workloadsMu.Unlock()
+	ent.once.Do(func() { ent.w = build() })
+	return ent.w, nil
+}
+
+// workloads caches built workloads: at most builder's 11 names × 2 scales
+// × 2 variants. Each entry builds under its own Once, so a slow build (full
+// fft) holds up only callers of that one key.
+var (
+	workloadsMu sync.Mutex
+	workloads   = map[workloadKey]*workloadEntry{}
+)
+
+type workloadKey struct {
+	name string
+	sc   Scale
+	v    apps.Variant
+}
+
+type workloadEntry struct {
+	once sync.Once
+	w    *apps.Workload
 }
 
 // CheckName reports whether Workload accepts the benchmark name, with
 // Workload's own error, without building anything: some inputs take long
-// to construct (full-scale fft computes a 4096-point reference DFT).
+// to construct (full-scale fft computes a 4096-point reference DFT, once
+// per process).
 func CheckName(name string) error {
 	_, err := builder(name, Quick, apps.ST)
 	return err

@@ -4,6 +4,12 @@ import (
 	"repro/internal/isa"
 )
 
+// cilkFrame is one frame of a Cilk steal's stack walk.
+type cilkFrame struct {
+	fp int64
+	d  *isa.Desc
+}
+
 // StealOldestCilk performs a thief-driven steal in Cilk mode: it detaches
 // the continuation of the victim's oldest outstanding fork — the frames
 // from the forking parent down to the logical stack bottom — without the
@@ -47,11 +53,9 @@ func (v *Worker) StealOldestCilk() *Context {
 		scratch[i] = v.Regs[isa.R0+isa.Reg(i)]
 	}
 
-	type frameInfo struct {
-		fp int64
-		d  *isa.Desc
-	}
-	var frames []frameInfo
+	// The walk's frames go into the worker's scratch slice, reused across
+	// steal attempts.
+	frames := v.stealFrames[:0]
 
 	found := false
 	var (
@@ -67,7 +71,7 @@ func (v *Worker) StealOldestCilk() *Context {
 		if depth > 1<<20 {
 			v.fail(v.PC, "cilk steal walk did not terminate")
 		}
-		frames = append(frames, frameInfo{fp, d})
+		frames = append(frames, cilkFrame{fp, d})
 		for k, r := range d.SavedRegs {
 			scratch[r-isa.R0] = v.M.Mem.Load(fp - int64(3+k))
 		}
@@ -109,6 +113,7 @@ func (v *Worker) StealOldestCilk() *Context {
 			break
 		}
 	}
+	v.stealFrames = frames
 	if !found {
 		return nil
 	}

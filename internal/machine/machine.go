@@ -367,6 +367,8 @@ type Worker struct {
 	Obs *obs.WorkerObs
 	// obsStack is the reusable buffer for profiler stack walks.
 	obsStack []int64
+	// stealFrames is the reusable buffer for StealOldestCilk's stack walk.
+	stealFrames []cilkFrame
 
 	// batched counts the virtual cycles this worker executed on the
 	// batched tier (runBlock). Host-side tier-residency diagnostic only:

@@ -131,7 +131,8 @@ func (r JobRequest) Normalized() (JobRequest, error) {
 	return r, err
 }
 
-// workload builds the benchmark a normalized request names.
+// workload returns the benchmark a normalized request names: the shared
+// instance figures.Workload builds once per process.
 func (r *JobRequest) workload(sp jobSpec) (*apps.Workload, error) {
 	sc := figures.Quick
 	if r.Full {
@@ -420,7 +421,8 @@ type Job struct {
 	spec jobSpec // what admission parsed out of Req; execution runs it
 	key  string  // Req.CacheKey(), fixed at admission
 
-	seq uint64 // admission order; the FIFO tiebreak within a priority class
+	seq  uint64 // admission order; the FIFO tiebreak within a priority class
+	qidx int    // index in the admission queue's heap while it waits there
 
 	// traceID joins this job to the client's end-to-end trace. Minted at
 	// admission when the client sent none; immutable afterwards.

@@ -60,6 +60,16 @@ func (q *admitQueue) Pop() *Job {
 	return heap.Pop(&q.heap).(*Job)
 }
 
+// Remove takes j out of the queue if it is waiting there (a canceled job),
+// freeing its place under the bound.
+func (q *admitQueue) Remove(j *Job) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if i := j.qidx; i >= 0 && i < len(q.heap) && q.heap[i] == j {
+		heap.Remove(&q.heap, i)
+	}
+}
+
 // Len returns the number of waiting jobs.
 func (q *admitQueue) Len() int {
 	q.mu.Lock()
@@ -76,7 +86,7 @@ func (q *admitQueue) Close() {
 }
 
 // jobHeap orders jobs by priority (higher first), then admission sequence
-// (earlier first).
+// (earlier first). Each job records its index, so Remove is O(log n).
 type jobHeap []*Job
 
 func (h jobHeap) Len() int { return len(h) }
@@ -86,13 +96,21 @@ func (h jobHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h jobHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*Job)) }
+func (h jobHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].qidx, h[j].qidx = i, j
+}
+func (h *jobHeap) Push(x any) {
+	j := x.(*Job)
+	j.qidx = len(*h)
+	*h = append(*h, j)
+}
 func (h *jobHeap) Pop() any {
 	old := *h
 	n := len(old)
 	j := old[n-1]
 	old[n-1] = nil
+	j.qidx = -1
 	*h = old[:n-1]
 	return j
 }

@@ -49,6 +49,37 @@ func TestQueueBound(t *testing.T) {
 	}
 }
 
+// TestQueueRemove: Remove takes a waiting job out wherever it sits in the
+// heap, frees its place under the bound, keeps the order of the rest, and
+// ignores a job that is not waiting.
+func TestQueueRemove(t *testing.T) {
+	q := newAdmitQueue(4)
+	var jobs []*Job
+	for i, p := range []int{0, 5, 0, 5} {
+		j := qjob(p)
+		j.ID = fmt.Sprintf("j-%d", i)
+		q.Push(j)
+		jobs = append(jobs, j)
+	}
+	q.Remove(jobs[3])
+	q.Remove(jobs[3])
+	if q.Len() != 3 || !q.Push(qjob(0)) {
+		t.Fatalf("Remove did not free a place: len %d", q.Len())
+	}
+	popped := q.Pop()
+	q.Remove(popped)
+	q.Remove(qjob(0))
+	want := []string{"j-0", "j-2", ""}
+	if popped.ID != "j-1" {
+		t.Fatalf("first pop = %s, want j-1", popped.ID)
+	}
+	for i, w := range want {
+		if got := q.Pop(); got.ID != w {
+			t.Fatalf("pop %d = %q, want %q", i, got.ID, w)
+		}
+	}
+}
+
 func TestQueueCloseDrainsBacklog(t *testing.T) {
 	q := newAdmitQueue(4)
 	q.Push(qjob(1))

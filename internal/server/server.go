@@ -299,7 +299,7 @@ func (s *Server) admit(req JobRequest, sp jobSpec, traceID string, resume []byte
 	s.mu.Unlock()
 	s.met.Add("jobs_accepted", 1)
 	s.met.Set("queue_depth", int64(s.queue.Len()))
-	s.logEvent("job accepted", "trace_id", traceID, "job", j.ID, "app", req.App, "key", req.Key())
+	s.logEvent("job accepted", "trace_id", traceID, "job", j.ID, "app", req.App, "key", j.key)
 	return j, nil
 }
 
@@ -340,7 +340,7 @@ func (s *Server) Job(id string) (*Job, error) {
 }
 
 // Cancel cancels a job: a queued job transitions to canceled immediately
-// (its slot skips it on pop); a running job's context is canceled and
+// and leaves the admission queue; a running job's context is canceled and
 // the scheduler aborts at its next pick. Terminal jobs are left untouched.
 func (s *Server) Cancel(id string) (*Job, error) {
 	s.mu.Lock()
@@ -351,13 +351,17 @@ func (s *Server) Cancel(id string) (*Job, error) {
 	}
 	switch j.state {
 	case StateQueued, StateStolen:
-		// Queued: skipped on pop. Stolen: the claim dies with the
-		// terminal transition, so a late thief completion is rejected.
+		// Queued: leaves the queue, freeing its place under the bound (a
+		// slot that popped it already skips it). Stolen: the claim dies
+		// with the terminal transition, so a late thief completion is
+		// rejected.
+		s.queue.Remove(j)
 		s.finishLocked(j, nil, context.Canceled, "")
 	case StateRunning:
 		j.cancel()
 	}
 	s.mu.Unlock()
+	s.met.Set("queue_depth", int64(s.queue.Len()))
 	return j, nil
 }
 

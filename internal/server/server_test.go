@@ -249,6 +249,42 @@ func TestQueueDepthCountsWaitingJob(t *testing.T) {
 	s.Drain()
 }
 
+// TestCanceledWaitingJobFreesQueueSlot: canceling the one job waiting
+// behind the busy slot frees its place under QueueBound at once, so the
+// queue depth reads 0 and the next submission is admitted.
+func TestCanceledWaitingJobFreesQueueSlot(t *testing.T) {
+	s := New(Config{QueueBound: 1, HostProcs: 1, CacheEntries: -1})
+	b := blocker(t, s)
+	j2, err := s.Submit(JobRequest{App: "fib", Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	settle()
+	if _, err := s.Cancel(j2.ID); err != nil {
+		t.Fatal(err)
+	}
+	if d := s.DebugSnapshot().QueueDepth; d != 0 {
+		t.Fatalf("DebugSnapshot().QueueDepth = %d after cancel, want 0", d)
+	}
+	if d := s.met.Snapshot().Gauges["queue_depth"]; d != 0 {
+		t.Fatalf("queue_depth gauge = %d after cancel, want 0", d)
+	}
+	j3, err := s.Submit(JobRequest{App: "fib", Seed: 3})
+	if err != nil {
+		t.Fatalf("submission after the waiting job was canceled: %v", err)
+	}
+	if _, err := s.Cancel(b.ID); err != nil {
+		t.Fatal(err)
+	}
+	s.Drain()
+	if st := jobState(s, j2); st != StateCanceled {
+		t.Fatalf("canceled job state = %s, want canceled", st)
+	}
+	if st := jobState(s, j3); st != StateDone {
+		t.Fatalf("later job state = %s (%s), want done", st, jobErr(s, j3))
+	}
+}
+
 // TestPriorityOvertakesWaitingJob: with the slot busy, a priority-5 job
 // admitted after a priority-0 one starts first — the order is
 // priority-then-FIFO over every job that waits.
