@@ -3,13 +3,20 @@
 //
 // Convert:
 //
-//	go test -bench=. -benchtime=1x -run='^$' ./... | benchjson -out BENCH_PR.json
+//	go test -bench=. -benchtime=1x -count 3 -run='^$' ./... | benchjson -out BENCH_PR.json
+//
+// Each benchmark metric keeps the median, minimum and maximum of its
+// samples (one per result line, so `go test -count N` gives N) and their
+// number.
 //
 // Gate (exit status 1 on regression):
 //
 //	benchjson -check -baseline BENCH_BASELINE.json -pr BENCH_PR.json
 //
-// Only deterministic virtual-time metrics are gated by default: figures like
+// The gate compares medians, and refuses a gated metric with fewer than
+// minSamples samples on either side: one sample measures cold allocation as
+// often as the code. Only deterministic virtual-time metrics are gated by
+// default: figures like
 // st-rel-avg or st/cilk are pure functions of the simulated configuration
 // and reproduce exactly on any host, so a >tolerance change is a real
 // regression, never runner noise. Host-dependent metrics (ns/op, vcycles/s,
@@ -25,10 +32,14 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
+
+// minSamples is the fewest samples a gated metric may have.
+const minSamples = 3
 
 // gatedUnits are the metric units compared against the baseline by default.
 var gatedUnits = map[string]bool{
@@ -42,18 +53,41 @@ var gatedUnits = map[string]bool{
 	"steals":                 true,
 }
 
-// Doc is the JSON document: benchmark name → metric unit → value.
+// Doc is the JSON document: benchmark name → metric unit → sample summary.
 type Doc struct {
-	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
+	Benchmarks map[string]map[string]Stat `json:"benchmarks"`
+}
+
+// Stat summarizes one metric's samples.
+type Stat struct {
+	Median float64 `json:"median"`
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
+	N      int     `json:"n"`
+}
+
+// summarize returns the median (the mean of the middle two for an even
+// count), minimum and maximum of a non-empty sample set, sorting it in
+// place.
+func summarize(v []float64) Stat {
+	slices.Sort(v)
+	n := len(v)
+	med := v[n/2]
+	if n%2 == 0 {
+		med = (v[n/2-1] + v[n/2]) / 2
+	}
+	return Stat{Median: med, Min: v[0], Max: v[n-1], N: n}
 }
 
 // parse reads `go test -bench` output. Each result line looks like
 //
 //	BenchmarkName-8  <tab> 1 <tab> 123 ns/op <tab> 1.5 st-rel-avg
 //
-// with value/unit pairs after the iteration count.
+// with value/unit pairs after the iteration count. A benchmark that
+// appears on several lines (go test -count N) contributes one sample per
+// line.
 func parse(r io.Reader) (*Doc, error) {
-	doc := &Doc{Benchmarks: map[string]map[string]float64{}}
+	samples := map[string]map[string][]float64{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -70,17 +104,24 @@ func parse(r io.Reader) (*Doc, error) {
 		if _, err := strconv.Atoi(fields[1]); err != nil {
 			continue // not an iteration count: not a result line
 		}
-		metrics := doc.Benchmarks[name]
+		metrics := samples[name]
 		if metrics == nil {
-			metrics = map[string]float64{}
-			doc.Benchmarks[name] = metrics
+			metrics = map[string][]float64{}
+			samples[name] = metrics
 		}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				return nil, fmt.Errorf("benchjson: %s: bad value %q", name, fields[i])
 			}
-			metrics[fields[i+1]] = v
+			metrics[fields[i+1]] = append(metrics[fields[i+1]], v)
+		}
+	}
+	doc := &Doc{Benchmarks: map[string]map[string]Stat{}}
+	for name, metrics := range samples {
+		doc.Benchmarks[name] = map[string]Stat{}
+		for unit, v := range metrics {
+			doc.Benchmarks[name][unit] = summarize(v)
 		}
 	}
 	return doc, sc.Err()
@@ -111,9 +152,11 @@ func write(doc *Doc, path string) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// check compares pr against base and returns the regression report lines.
-// A non-nil only set replaces the default gating policy entirely: exactly
-// the listed units are gated, whether host-dependent or not.
+// check compares pr's medians against base's and returns the regression
+// report lines; a gated metric with fewer than minSamples samples on either
+// side is reported too. A non-nil only set replaces the default gating
+// policy entirely: exactly the listed units are gated, whether
+// host-dependent or not.
 func check(base, pr *Doc, tolerance float64, only map[string]bool) (bad, skipped []string) {
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
@@ -127,7 +170,7 @@ func check(base, pr *Doc, tolerance float64, only map[string]bool) (bad, skipped
 		}
 		sort.Strings(units)
 		for _, unit := range units {
-			want := base.Benchmarks[name][unit]
+			b := base.Benchmarks[name][unit]
 			if only != nil {
 				if !only[unit] {
 					continue
@@ -135,11 +178,17 @@ func check(base, pr *Doc, tolerance float64, only map[string]bool) (bad, skipped
 			} else if !gatedUnits[unit] {
 				continue
 			}
-			got, ok := pr.Benchmarks[name][unit]
+			p, ok := pr.Benchmarks[name][unit]
 			if !ok {
 				bad = append(bad, fmt.Sprintf("%s %s: missing from PR results", name, unit))
 				continue
 			}
+			if b.N < minSamples || p.N < minSamples {
+				bad = append(bad, fmt.Sprintf("%s %s: %d baseline and %d PR samples, the gate needs %d of each",
+					name, unit, b.N, p.N, minSamples))
+				continue
+			}
+			want, got := b.Median, p.Median
 			if want == 0 {
 				if got != 0 {
 					bad = append(bad, fmt.Sprintf("%s %s: baseline 0, got %g", name, unit, got))

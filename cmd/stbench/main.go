@@ -21,30 +21,44 @@ import (
 	"repro/internal/figures"
 	"repro/internal/hostpar"
 	"repro/internal/isa"
+	"repro/internal/obs"
 )
 
 // runHotPath measures raw interpreter speed — host nanoseconds per simulated
-// cycle — on the same three single-worker workloads the BenchmarkHotPath
-// micro-benchmarks and the bench-hotpath CI gate use (see DESIGN.md §14).
+// cycle — on the same single-worker legs the BenchmarkHotPath
+// micro-benchmarks and the bench-hotpath CI gate use (see DESIGN.md §14):
+// fib, cilksort and nqueens, then fib and cilksort with an obs.Collector
+// attached, as on every served job.
 func runHotPath() error {
 	const rounds = 3
-	for _, wl := range []*apps.Workload{
-		apps.Fib(22, apps.ST),
-		apps.Cilksort(6000, apps.ST, 11),
-		apps.NQueens(8, apps.ST),
+	fib, cilksort := apps.Fib(22, apps.ST), apps.Cilksort(6000, apps.ST, 11)
+	for _, leg := range []struct {
+		wl      *apps.Workload
+		withObs bool
+	}{
+		{fib, false}, {cilksort, false}, {apps.NQueens(8, apps.ST), false},
+		{fib, true}, {cilksort, true},
 	} {
+		name := leg.wl.Name
+		if leg.withObs {
+			name += "-obs"
+		}
 		var hostNS, vcycles int64
 		for i := 0; i < rounds; i++ {
+			cfg := core.Config{Mode: core.StackThreads, Workers: 1, Seed: 1}
+			if leg.withObs {
+				cfg.Obs = obs.New()
+			}
 			t0 := time.Now()
-			res, err := core.Run(wl, core.Config{Mode: core.StackThreads, Workers: 1, Seed: 1})
+			res, err := core.Run(leg.wl, cfg)
 			if err != nil {
-				return fmt.Errorf("%s: %w", wl.Name, err)
+				return fmt.Errorf("%s: %w", name, err)
 			}
 			hostNS += time.Since(t0).Nanoseconds()
 			vcycles += res.WorkCycles
 		}
-		fmt.Printf("%-10s %7.2f host-ns/vcycle  (%d vcycles/run, %d rounds)\n",
-			wl.Name, float64(hostNS)/float64(vcycles), vcycles/rounds, rounds)
+		fmt.Printf("%-12s %7.2f host-ns/vcycle  (%d vcycles/run, %d rounds)\n",
+			name, float64(hostNS)/float64(vcycles), vcycles/rounds, rounds)
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 // Command stprof runs one benchmark with the observability layer attached
 // and prints a profile of where the virtual cycles went: the phase breakdown
 // of the paper's cost decomposition (Section 8), the sampling profiler's top
-// table, and the per-worker utilization report. -timeline adds the
+// table, the per-worker utilization report, and which interpreter tier the
+// work cycles ran on (batched runs, the per-instruction reference path, and
+// the runtime services and idle waits outside both). -timeline adds the
 // migration-level event timeline (steal requests, steals, rejects,
 // ready-queue resumes, idle transitions and the halt, then a count per kind).
 // It can also export the metrics registry as JSON and the event stream as a
@@ -24,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/figures"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -53,7 +56,8 @@ func main() {
 	}
 	c := obs.New()
 	c.SamplePeriod = *sample
-	cfg := core.Config{Mode: runMode, Workers: *workers, Seed: *seed, Obs: c}
+	cont := &sched.Contention{}
+	cfg := core.Config{Mode: runMode, Workers: *workers, Seed: *seed, Obs: c, Contention: cont}
 
 	w, err := figures.Workload(*app, sc, variant)
 	if err != nil {
@@ -71,6 +75,8 @@ func main() {
 	c.WriteReport(os.Stdout)
 	fmt.Println()
 	c.WriteTop(os.Stdout, *top)
+	fmt.Println()
+	writeTiers(cont.Snapshot(), res.WorkCycles)
 	if *timeline {
 		fmt.Println()
 		c.WriteTimeline(os.Stdout)
@@ -115,4 +121,22 @@ func main() {
 		}
 		fmt.Printf("chrome trace written to %s (load in ui.perfetto.dev)\n", *chrome)
 	}
+}
+
+// writeTiers prints where the run's work cycles were charged: on the batched
+// interpreter tier, on the per-instruction reference path, and outside the
+// instruction loop (runtime services such as builtins, suspension unwinding
+// and steal handshakes, and idle waits).
+func writeTiers(cs sched.ContentionSnapshot, work int64) {
+	rest := work - cs.BatchedCycles - cs.ReferenceCycles
+	share := func(v int64) float64 {
+		if work == 0 {
+			return 0
+		}
+		return 100 * float64(v) / float64(work)
+	}
+	fmt.Println("tier residency (virtual cycles)")
+	fmt.Printf("  %-20s %14d %6.1f%%\n", "batched", cs.BatchedCycles, share(cs.BatchedCycles))
+	fmt.Printf("  %-20s %14d %6.1f%%\n", "reference", cs.ReferenceCycles, share(cs.ReferenceCycles))
+	fmt.Printf("  %-20s %14d %6.1f%%\n", "services+idle", rest, share(rest))
 }

@@ -142,16 +142,28 @@ const NumOps = int(numOps)
 
 // Straightline reports whether o always falls through to pc+1 without
 // touching the runtime: executing it can at most update registers or memory,
-// or trap. Straightline instructions are eligible for the interpreter's
-// batched fast path; control transfers (jumps, branches, calls) and poll
-// points are not, and neither is an undefined opcode (the per-instruction
-// path owns the illegal-opcode trap).
+// or trap. A batched run of the interpreter's fast path is a sequence of
+// straightline instructions, optionally ended by one Branch. Calls and poll
+// points are neither, and neither is an undefined opcode (the
+// per-instruction path owns the illegal-opcode trap).
 func (o Op) Straightline() bool {
 	switch o {
 	case Jmp, JmpReg, Beq, Bne, Blt, Ble, Bgt, Bge, Call, Poll:
 		return false
 	}
 	return o < numOps
+}
+
+// Branch reports whether o is a control transfer that never reaches the
+// runtime: a jump, an indirect jump or a conditional branch. It only picks
+// the next pc, so it may end a batched run; the successor run starts at the
+// pc it picks.
+func (o Op) Branch() bool {
+	switch o {
+	case Jmp, JmpReg, Beq, Bne, Blt, Ble, Bgt, Bge:
+		return true
+	}
+	return false
 }
 
 // CanTrap reports whether o can raise a simulated fault mid-execution: a

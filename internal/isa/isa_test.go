@@ -193,3 +193,28 @@ func TestCostModelByName(t *testing.T) {
 		}
 	}
 }
+
+// TestRunClasses pins the op classes the interpreter's batched runs are
+// built from: every defined op is exactly one of straightline, branch, call
+// or poll point, and an undefined opcode is none of them.
+func TestRunClasses(t *testing.T) {
+	for o := Op(0); o < numOps; o++ {
+		n := 0
+		for _, in := range []bool{o.Straightline(), o.Branch(), o == Call, o == Poll} {
+			if in {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%v: in %d of straightline/branch/call/poll, want exactly 1", o, n)
+		}
+	}
+	if o := numOps; o.Straightline() || o.Branch() {
+		t.Errorf("undefined opcode %v is batchable", o)
+	}
+	for _, o := range []Op{Jmp, JmpReg, Beq, Bne, Blt, Ble, Bgt, Bge} {
+		if !o.Branch() {
+			t.Errorf("%v is not a branch", o)
+		}
+	}
+}

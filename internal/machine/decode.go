@@ -5,10 +5,10 @@ import "repro/internal/isa"
 // This file builds the interpreter's flat decode cache: one entry per pc,
 // resolved once at machine.New time, so the per-instruction loop never
 // performs a descriptor search, a cost-table fetch or an options check on
-// the hot path. The cache also carries the straight-line batching metadata
-// behind the interpreter's fast path (see interp.go): for every pc, the
-// length and exact cycle cost of the maximal run of straightline
-// instructions starting there.
+// the hot path. The cache also carries the batching metadata behind the
+// interpreter's fast path (see interp.go): for every pc, the length and
+// exact cycle cost of the maximal run starting there — straightline
+// instructions, optionally ended by one branch.
 //
 // The cache is immutable after New: the program, the cost model and every
 // option that feeds it (RegWindows, OmitFP, CilkCost) are fixed at
@@ -31,9 +31,11 @@ type decoded struct {
 	// augmented-epilogue refund. All of it depends only on (pc, target,
 	// options), so it collapses to one addition at run time.
 	callAdjust int32
-	// runLen is the number of straightline instructions in the maximal
-	// batchable run starting at this pc (zero when the instruction itself
-	// is not straightline); runCost is the run's total cycle cost and
+	// runLen is the number of instructions in the maximal batchable run
+	// starting at this pc: straightline instructions, optionally ended by
+	// one branch (isa.Op.Branch), which picks the pc the next run starts
+	// at. It is zero when the instruction is neither (a call, a poll point
+	// or an undefined opcode). runCost is the run's total cycle cost and
 	// runCostButLast the same total minus the final instruction's cost —
 	// the exact bound the fast path compares against the deadline so
 	// EvBudget fires at the identical instruction either way. Within a run
@@ -104,13 +106,16 @@ func (m *Machine) buildDecode() {
 			}
 		}
 	}
-	// Backward pass: straight-line run lengths and exact suffix costs. A run
-	// starting at pc extends the run starting at pc+1, so every entry is
-	// computed in O(1) from its successor.
+	// Backward pass: run lengths and exact suffix costs. A branch is a run
+	// of length 1 that ends there; a straightline instruction extends the
+	// run starting at pc+1, so every entry is computed in O(1) from its
+	// successor.
 	var nextLen int32
 	for pc := len(code) - 1; pc >= 0; pc-- {
 		d := &m.dec[pc]
-		if !d.op.Straightline() {
+		if d.op.Branch() {
+			nextLen = 0
+		} else if !d.op.Straightline() {
 			nextLen = 0
 			continue
 		}

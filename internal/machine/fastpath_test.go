@@ -274,6 +274,39 @@ func TestFastPathTrapStateExact(t *testing.T) {
 	}
 }
 
+// lockstep runs a fast-path worker and a NoFastPath worker to halt in
+// slices of run(step) cycles, comparing the whole architectural state (and,
+// with observability attached, the attribution and profile) at every slice
+// boundary and memory at halt.
+func lockstep(t *testing.T, mf, ms *Machine, wf, ws *Worker, run func(step int) int64) {
+	t.Helper()
+	for step := 0; ; step++ {
+		if step > 1_000_000 {
+			t.Fatal("runaway program")
+		}
+		b := run(step)
+		evF, evS := wf.Run(b), ws.Run(b)
+		if evF != evS {
+			t.Fatalf("step %d (budget %d): events diverged: fast=%v slow=%v", step, b, evF, evS)
+		}
+		diffWorker(t, "slice boundary", wf, ws)
+		if wf.Obs != nil {
+			diffObs(t, fmt.Sprintf("step %d", step), wf, ws)
+		}
+		switch evF {
+		case EvBudget, EvPoll:
+			continue
+		case EvHalt:
+			if f, s := mf.Mem.ExportState(), ms.Mem.ExportState(); !reflect.DeepEqual(f, s) {
+				t.Fatalf("memory diverged: fast pages %v, slow pages %v", f.Index, s.Index)
+			}
+			return
+		default:
+			t.Fatalf("step %d: unexpected event %v (err=%v)", step, evF, wf.Err)
+		}
+	}
+}
+
 // TestFastPathDegenerateBudgets pins Run's behavior at the budget edges
 // where the batch-entry comparison (deadline - runCostButLast) is most
 // likely to be off by one: a zero budget must return EvBudget with no
@@ -282,31 +315,7 @@ func TestFastPathTrapStateExact(t *testing.T) {
 // straightline-run boundary must fire EvBudget on the identical
 // instruction with or without batching.
 func TestFastPathDegenerateBudgets(t *testing.T) {
-	finish := func(t *testing.T, mf, ms *Machine, wf, ws *Worker, run func(step int) int64) {
-		t.Helper()
-		for step := 0; ; step++ {
-			if step > 1_000_000 {
-				t.Fatal("runaway program")
-			}
-			b := run(step)
-			evF, evS := wf.Run(b), ws.Run(b)
-			if evF != evS {
-				t.Fatalf("step %d (budget %d): events diverged: fast=%v slow=%v", step, b, evF, evS)
-			}
-			diffWorker(t, "slice boundary", wf, ws)
-			switch evF {
-			case EvBudget, EvPoll:
-				continue
-			case EvHalt:
-				if f, s := mf.Mem.ExportState(), ms.Mem.ExportState(); !reflect.DeepEqual(f, s) {
-					t.Fatalf("memory diverged: fast pages %v, slow pages %v", f.Index, s.Index)
-				}
-				return
-			default:
-				t.Fatalf("step %d: unexpected event %v (err=%v)", step, evF, wf.Err)
-			}
-		}
-	}
+	finish := lockstep
 
 	t.Run("zero", func(t *testing.T) {
 		prog := mixProgram(t)
@@ -430,8 +439,8 @@ func TestFastPathObsTrapInCheckBlock(t *testing.T) {
 	}
 }
 
-// diffObs fails the test unless two workers' attribution state and their
-// collectors' profiles are identical.
+// diffObs fails the test unless two workers' attribution state, the pcs of
+// their last profiler sample and their collectors' profiles are identical.
 func diffObs(t *testing.T, where string, a, b *Worker) {
 	t.Helper()
 	oa, ob := a.Obs, b.Obs
@@ -440,6 +449,9 @@ func diffObs(t *testing.T, where string, a, b *Worker) {
 		t.Fatalf("%s: obs diverged:\n  a: phase=%v attributed=%d samples=%d next=%d\n  b: phase=%v attributed=%d samples=%d next=%d",
 			where, oa.Phase, oa.AttributedTotal(), oa.Samples, oa.NextSample,
 			ob.Phase, ob.AttributedTotal(), ob.Samples, ob.NextSample)
+	}
+	if !reflect.DeepEqual(a.obsStack, b.obsStack) {
+		t.Fatalf("%s: last sample's stacks diverged:\n  a: %v\n  b: %v", where, a.obsStack, b.obsStack)
 	}
 	if pa, pb := a.M.Opts.Obs.Profile(), b.M.Opts.Obs.Profile(); !reflect.DeepEqual(pa, pb) {
 		t.Fatalf("%s: profiles diverged:\n  a: %v\n  b: %v", where, pa, pb)
@@ -484,6 +496,249 @@ func TestFastPathObsSampleBoundary(t *testing.T) {
 			return
 		default:
 			t.Fatalf("step %d: unexpected event %v (err=%v)", step, evF, wf.Err)
+		}
+	}
+}
+
+// loopProgram is a tight loop with no call or poll point: its body, from the
+// loop head through the back-edge branch, is one run, so the fast path
+// chains iteration after iteration inside runBlock. It returns the program
+// and the loop head's pc.
+func loopProgram(t *testing.T) (*isa.Program, int64) {
+	t.Helper()
+	prog := compileUnit(t, func(u *asm.Unit) {
+		b := u.Proc("main", 0, 0)
+		b.Const(isa.R0, mem.Guard) // heap cell 0
+		b.Const(isa.R1, 0)         // i
+		b.Const(isa.R2, 200)       // iterations
+		loop := b.NewLabel()
+		b.Bind(loop)
+		b.Load(isa.T0, isa.R0, 0)
+		b.Add(isa.T0, isa.T0, isa.R1)
+		b.MulI(isa.T1, isa.T0, 3)
+		b.Xor(isa.T0, isa.T0, isa.T1)
+		b.Store(isa.R0, 0, isa.T0)
+		b.AddI(isa.R1, isa.R1, 1)
+		b.Blt(isa.R1, isa.R2, loop)
+		b.Load(isa.RV, isa.R0, 0)
+		b.Ret(isa.RV)
+	})
+	for _, in := range prog.Code {
+		if in.Op == isa.Blt && in.Ra == isa.R1 && in.Rb == isa.R2 {
+			return prog, in.Imm
+		}
+	}
+	t.Fatal("no back edge in the loop program")
+	return nil, 0
+}
+
+// TestChainBudgetAtBackEdge places the budget deadline, from the loop head,
+// exactly at the end of the k-th back-edge run of a chain, and one cycle
+// short of and past it. At the exact deadline the chain must stop at the
+// loop head with every run committed; one cycle short, the last run must go
+// to the reference path, which fires EvBudget on its branch; one cycle
+// past, the next run is not entered.
+func TestChainBudgetAtBackEdge(t *testing.T) {
+	for _, withObs := range []bool{false, true} {
+		t.Run(fmt.Sprintf("obs=%v", withObs), func(t *testing.T) {
+			prog, head := loopProgram(t)
+			var fo, so Options
+			if withObs {
+				fo.Obs, so.Obs = obs.New(), obs.New()
+			}
+			so.NoFastPath = true
+			mf, wf := startWorker(t, prog, fo)
+			ms, ws := startWorker(t, prog, so)
+			body := int64(mf.dec[head].runCost)
+			if mf.dec[head].runLen != 7 || !prog.Code[head+6].Op.Branch() {
+				t.Fatalf("loop body run: len %d, want the 7 instructions through the back edge", mf.dec[head].runLen)
+			}
+			n, landed, exact, deadline := int64(0), 0, false, int64(0)
+			lockstep(t, mf, ms, wf, ws, func(step int) int64 {
+				if exact && wf.PC == head {
+					if wf.Cycles != deadline {
+						t.Fatalf("step %d: chain stopped at cycle %d, want the deadline %d", step, wf.Cycles, deadline)
+					}
+					landed++
+				}
+				exact = false
+				if wf.PC != head {
+					return 1
+				}
+				k, delta := n%4+1, n%3-1
+				n++
+				b := k*body + delta
+				exact, deadline = delta == 0, wf.Cycles+b
+				return b
+			})
+			if landed < 10 || wf.BatchedCycles() == 0 {
+				t.Fatalf("%d chains stopped exactly on a back edge, %d batched cycles; the edges were never exercised",
+					landed, wf.BatchedCycles())
+			}
+		})
+	}
+}
+
+// TestChainSampleAtBranch places the profiler's next sample, from the loop
+// head, at the end of the k-th back-edge run of a chain, and one cycle on
+// each side. One cycle past it, the k-th run's closing branch is the last
+// instruction before the sample and the chain batches it; exactly at it,
+// that run must go to the reference path, which samples the branch itself.
+func TestChainSampleAtBranch(t *testing.T) {
+	prog, head := loopProgram(t)
+	mf, wf := startWorker(t, prog, Options{Obs: obs.New()})
+	ms, ws := startWorker(t, prog, Options{Obs: obs.New(), NoFastPath: true})
+	body := int64(mf.dec[head].runCost)
+	n := int64(0)
+	lockstep(t, mf, ms, wf, ws, func(int) int64 {
+		if wf.PC != head {
+			return 1
+		}
+		k, delta := n%4+1, n%3-1
+		n++
+		next := wf.Cycles + k*body + delta
+		wf.Obs.NextSample, ws.Obs.NextSample = next, next
+		return (k + 1) * body
+	})
+	if wf.BatchedCycles() == 0 || wf.Obs.Samples < 20 {
+		t.Fatalf("batched %d cycles with %d samples; the edges were never exercised",
+			wf.BatchedCycles(), wf.Obs.Samples)
+	}
+}
+
+// restartChainProgram is Section 5.3's restart scenario with its returns
+// reached by branches: main forks f, which suspends at once; g restarts f's
+// chain, which finishes and returns through the restart thunk into g; g
+// returns and main halts. f's resumed tail and main's tail are runs ending
+// in the jump to the epilogue, so the epilogue runs, whose jmpreg returns to
+// the restart thunk and to MagicHalt, are chained successors. Returns
+// flagF*10 + flagG = 11.
+func restartChainProgram(t *testing.T) *isa.Program {
+	t.Helper()
+	return compileUnit(t, func(u *asm.Unit) {
+		f := u.Proc("f", 1, 0)
+		f.LoadArg(isa.R0, 0) // env; the context is env[0..ContextWords)
+		f.SetArg(0, isa.R0)
+		f.Const(isa.T0, 1)
+		f.SetArg(1, isa.T0)
+		f.Call("suspend")
+		f.Const(isa.T0, 1) // resumed by g's restart
+		f.Store(isa.R0, 16, isa.T0)
+		f.RetVoid()
+
+		g := u.Proc("g", 1, 0)
+		g.LoadArg(isa.R0, 0)
+		g.AddI(isa.R0, isa.R0, 1) // differs from f's R0: the thunk must restore it
+		g.AddI(isa.T0, isa.R0, -1)
+		g.SetArg(0, isa.T0)
+		g.Call("restart")
+		g.Const(isa.T0, 1)
+		g.Store(isa.R0, 16, isa.T0) // env[17]
+		g.RetVoid()
+
+		m := u.Proc("main", 0, 0)
+		m.Const(isa.R0, mem.Guard+64) // env
+		m.SetArg(0, isa.R0)
+		m.Fork("f")
+		m.SetArg(0, isa.R0)
+		m.Call("g")
+		m.Load(isa.T0, isa.R0, 16)
+		m.MulI(isa.T0, isa.T0, 10)
+		m.Load(isa.T1, isa.R0, 17)
+		m.Add(isa.RV, isa.T0, isa.T1)
+		m.Ret(isa.RV)
+	})
+}
+
+// TestChainJmpRegToMagic runs chains whose last run ends in a jmpreg to a
+// negative pc — the restart thunk and MagicHalt — under budgets from one
+// cycle to unbounded, with and without observability. The chain must stop
+// at the negative pc and leave it to Run, exactly as the reference path.
+func TestChainJmpRegToMagic(t *testing.T) {
+	for _, withObs := range []bool{false, true} {
+		for _, budget := range []int64{1, 2, 3, 5, 8, 13, 21, 97, math.MaxInt64} {
+			t.Run(fmt.Sprintf("obs=%v/budget=%d", withObs, budget), func(t *testing.T) {
+				prog := restartChainProgram(t)
+				var fo, so Options
+				if withObs {
+					fo.Obs, so.Obs = obs.New(), obs.New()
+				}
+				so.NoFastPath = true
+				mf, wf := startWorker(t, prog, fo)
+				ms, ws := startWorker(t, prog, so)
+				sawThunk := false
+				lockstep(t, mf, ms, wf, ws, func(int) int64 {
+					sawThunk = sawThunk || len(mf.thunks) > 0
+					return budget
+				})
+				if wf.Regs[isa.RV] != 11 {
+					t.Fatalf("result %d, want 11 (flagF*10 + flagG)", wf.Regs[isa.RV])
+				}
+				if budget == 1 && !sawThunk {
+					t.Fatal("no restart thunk was ever installed")
+				}
+				if len(mf.thunks) != 0 || wf.BatchedCycles() == 0 {
+					t.Fatalf("%d thunks left, %d batched cycles", len(mf.thunks), wf.BatchedCycles())
+				}
+			})
+		}
+	}
+}
+
+// TestChainTrapInSuccessorRun faults a load that is the first instruction of
+// a chained successor run — reached by a jump, a taken branch and a
+// not-taken branch's fall-through. blockSync must count from that run's
+// start, not the chain's first run, so the trap state is the reference
+// path's exactly.
+func TestChainTrapInSuccessorRun(t *testing.T) {
+	cases := []struct {
+		name  string
+		close func(b *asm.B, target asm.Lbl)
+	}{
+		{"jmp", func(b *asm.B, l asm.Lbl) { b.Jmp(l) }},
+		{"branch-taken", func(b *asm.B, l asm.Lbl) { b.Beq(isa.T1, isa.T1, l) }},
+		{"branch-fallthrough", func(b *asm.B, l asm.Lbl) { b.Bne(isa.T1, isa.T1, l) }},
+	}
+	for _, tc := range cases {
+		for _, withObs := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/obs=%v", tc.name, withObs), func(t *testing.T) {
+				prog := compileUnit(t, func(u *asm.Unit) {
+					b := u.Proc("main", 0, 0)
+					b.Const(isa.T0, 3) // below mem.Guard
+					b.Const(isa.T1, 5)
+					b.MulI(isa.T2, isa.T1, 7)
+					l := b.NewLabel()
+					tc.close(b, l)
+					b.Bind(l)
+					b.Load(isa.T2, isa.T0, 0) // traps
+					b.AddI(isa.T2, isa.T2, 1)
+					b.Ret(isa.T2)
+				})
+				var fo, so Options
+				if withObs {
+					fo.Obs, so.Obs = obs.New(), obs.New()
+				}
+				so.NoFastPath = true
+				mf, wf := startWorker(t, prog, fo)
+				_, ws := startWorker(t, prog, so)
+				evF, evS := wf.Run(math.MaxInt64), ws.Run(math.MaxInt64)
+				if evF != EvTrap || evS != EvTrap {
+					t.Fatalf("events: fast=%v slow=%v, want both EvTrap", evF, evS)
+				}
+				diffWorker(t, "trap state", wf, ws)
+				if withObs {
+					diffObs(t, "trap state", wf, ws)
+				}
+				if wf.Err.Error() != ws.Err.Error() {
+					t.Fatalf("errors diverged:\n  fast: %v\n  slow: %v", wf.Err, ws.Err)
+				}
+				if pc := wf.PC; prog.Code[pc].Op != isa.Load || !prog.Code[pc-1].Op.Branch() || mf.dec[pc].runLen < 2 {
+					t.Fatalf("trap pc %d (%v after %v): want the load opening a successor run", pc, prog.Code[pc].Op, prog.Code[pc-1].Op)
+				}
+				if wf.BatchedCycles() == 0 {
+					t.Fatal("the trap was not raised inside a batch")
+				}
+			})
 		}
 	}
 }

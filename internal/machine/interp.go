@@ -31,15 +31,18 @@ func (w *Worker) fail(pc int64, format string, args ...any) {
 //
 // The loop is driven by the flat decode cache (decode.go): one entry per pc
 // holding the resolved opcode cost, registers, procedure descriptor, call
-// adjustments and straight-line run metadata. Unless NoFastPath is set, runs
-// of straightline instructions execute as a batch (runBlock) with cycles
-// charged in bulk and the budget checked only at run boundaries; the batch
-// is entered only when the whole run fits under the deadline, so EvBudget
-// fires at the identical instruction either way. With observability
-// attached, the profiler's next sample boundary is a second deadline: a run
-// is batched only if it ends strictly before it, so the reference path still
-// executes, stack-walks and samples the exact instruction that crosses the
-// boundary, and the run's epilogue-check cycles are charged in one piece.
+// adjustments and run metadata. Unless NoFastPath is set, runs of
+// straightline instructions, each ending in at most one branch, execute as
+// batches (runBlock) with cycles charged in bulk and the budget checked only
+// at run boundaries; a run is entered only when it fits under the deadline
+// (batchable), so EvBudget fires at the identical instruction either way.
+// With observability attached, the profiler's next sample boundary is a
+// second deadline: a run is batched only if it ends strictly before it, so
+// the reference path still executes, stack-walks and samples the exact
+// instruction that crosses the boundary, and the run's epilogue-check
+// cycles are charged in one piece. What stays on this per-instruction
+// reference path is calls (builtins included), poll points, and any run
+// that would cross the deadline or the next sample.
 func (w *Worker) Run(budget int64) (ev Event) {
 	deadline := w.Cycles + budget
 	if budget > 0 && deadline < w.Cycles {
@@ -63,11 +66,10 @@ func (w *Worker) Run(budget int64) (ev Event) {
 	// The batched fast path executes with deferred state writes, so it
 	// requires that nothing observe state between the instructions of a
 	// run. Observability is compatible because its only per-instruction
-	// work inside a straight-line run is bulk-chargeable (the run's
-	// epilogue-check cost, runCheckCost) and its sampler is honored as a
-	// second deadline (ob.NextSample below). Everything the batch skips is
-	// observationally redundant, so turning it off (NoFastPath) changes
-	// nothing but host speed.
+	// work inside a run is bulk-chargeable (the run's epilogue-check cost,
+	// runCheckCost) and its sampler is honored as a second deadline (see
+	// batchable). Everything the batch skips is observationally redundant,
+	// so turning it off (NoFastPath) changes nothing but host speed.
 	fast := !w.M.Opts.NoFastPath
 	ob := w.Obs
 
@@ -91,14 +93,14 @@ func (w *Worker) Run(budget int64) (ev Event) {
 		}
 
 		d := &dec[pc]
-		if fast && d.runLen > 1 && w.Cycles < deadline-int64(d.runCostButLast) &&
-			(ob == nil || w.Cycles+int64(d.runCost) < ob.NextSample) {
-			w.runBlock(pc, d)
+		if fast && w.batchable(d, deadline) {
+			w.runBlock(pc, deadline)
 			continue
 		}
 
 		w.Stats.Instrs++
 		w.Cycles += int64(d.cost)
+		w.reference += int64(d.cost)
 		if ob != nil {
 			w.obsTick(pc, d)
 		}
@@ -204,10 +206,12 @@ func (w *Worker) Run(budget int64) (ev Event) {
 			// windows, omitted frame pointers, Cilk spawn/check accounting)
 			// collapse to one precomputed adjustment; see decode.go.
 			w.Cycles += int64(d.callAdjust)
+			w.reference += int64(d.callAdjust)
 			next = d.imm
 		case isa.Poll:
 			if w.M.Opts.CilkCost {
 				w.Cycles -= int64(d.cost) // Cilk code has no poll points
+				w.reference -= int64(d.cost)
 			} else if w.PollSignal {
 				w.PC = next
 				return EvPoll
@@ -271,140 +275,202 @@ func (w *Worker) magicPC(pc int64) (Event, bool) {
 	return 0, false
 }
 
-// runBlock executes the whole straight-line run of d0.runLen instructions
-// starting at pc `start` as one batch: registers and memory update in place,
-// but PC, cycles and the instruction count are written once at the end. The
-// caller has already verified the entire run fits under the budget deadline
-// (and before the next profiler sample) and that NoFastPath is unset, and
-// straightline instructions cannot branch or reach the runtime, so no
-// per-instruction checks are needed and memory is accessed directly through
-// the page table with an inline guard check. The table is fetched once per
-// batch: nothing inside a
-// batch maps memory, and a store into a page that has never been written
-// materializes it in this same table through Memory.Store. The only panics
-// a block can raise are its own simulated faults, each preceded by
-// blockSync, which synchronizes PC/cycles/instruction count to the exact
-// state the per-instruction path would hold at the trap (the faulting
-// instruction charged and counted, w.PC naming it) — required both for
-// Run's trap formatting and for trap-state determinism.
-func (w *Worker) runBlock(start int64, d0 *decoded) {
+// batchable reports whether the run starting at d may execute as one batch:
+// the pc starts a run, the whole run fits under the budget deadline, and,
+// with observability attached, it ends strictly before the profiler's next
+// sample. These are the exact tests that keep EvBudget and every sample on
+// the identical instruction with or without batching.
+func (w *Worker) batchable(d *decoded, deadline int64) bool {
+	return d.runLen > 0 && w.Cycles < deadline-int64(d.runCostButLast) &&
+		(w.Obs == nil || w.Cycles+int64(d.runCost) < w.Obs.NextSample)
+}
+
+// runBlock executes the run starting at pc as one batch, then chains: while
+// the pc the run ends at (the fall-through, or the target its closing
+// branch picks) is in range and starts a batchable run, that run executes
+// in the same loop; otherwise control returns to Run, which owns negative
+// (magic) and out-of-range pcs, calls, polls and the budget and sample
+// crossings. Within a run registers and memory update in place, but PC,
+// cycles and the instruction count are written once, by blockDone, at the
+// run's end, so each run in a chain commits exactly as a lone one would.
+// The caller has already verified that the first run is batchable and that
+// NoFastPath is unset, and a run's instructions cannot reach the runtime, so
+// no per-instruction checks are needed and memory is accessed directly
+// through the page table with an inline guard check. The table is fetched
+// once per chain: nothing inside a batch maps memory, and a store into a
+// page that has never been written materializes it in this same table
+// through Memory.Store. The only panics a run can raise are its own
+// simulated faults, each preceded by blockSync on that run's start, which
+// synchronizes PC/cycles/instruction count to the exact state the
+// per-instruction path would hold at the trap (the faulting instruction
+// charged and counted, w.PC naming it) — required both for Run's trap
+// formatting and for trap-state determinism.
+func (w *Worker) runBlock(pc, deadline int64) {
 	dec := w.M.dec
 	memory := w.M.Mem
 	pages := memory.Pages()
 	size := memory.Size()
-	end := start + int64(d0.runLen)
 	regs := &w.Regs
-	for pc := start; pc < end; pc++ {
-		d := &dec[pc]
-		switch d.op {
-		case isa.Nop:
-		case isa.Const:
-			regs[d.rd] = d.imm
-		case isa.Mov:
-			regs[d.rd] = regs[d.ra]
-		case isa.Add:
-			regs[d.rd] = regs[d.ra] + regs[d.rb]
-		case isa.Sub:
-			regs[d.rd] = regs[d.ra] - regs[d.rb]
-		case isa.Mul:
-			regs[d.rd] = regs[d.ra] * regs[d.rb]
-		case isa.Div:
-			if regs[d.rb] == 0 {
-				w.blockSync(start, pc, d0)
-				w.fail(pc, "division by zero")
-			}
-			regs[d.rd] = regs[d.ra] / regs[d.rb]
-		case isa.Mod:
-			if regs[d.rb] == 0 {
-				w.blockSync(start, pc, d0)
-				w.fail(pc, "modulo by zero")
-			}
-			regs[d.rd] = regs[d.ra] % regs[d.rb]
-		case isa.And:
-			regs[d.rd] = regs[d.ra] & regs[d.rb]
-		case isa.Or:
-			regs[d.rd] = regs[d.ra] | regs[d.rb]
-		case isa.Xor:
-			regs[d.rd] = regs[d.ra] ^ regs[d.rb]
-		case isa.Shl:
-			regs[d.rd] = regs[d.ra] << uint64(regs[d.rb]&63)
-		case isa.Shr:
-			regs[d.rd] = regs[d.ra] >> uint64(regs[d.rb]&63)
-		case isa.AddI:
-			regs[d.rd] = regs[d.ra] + d.imm
-		case isa.MulI:
-			regs[d.rd] = regs[d.ra] * d.imm
-		case isa.Load:
-			a := regs[d.ra] + d.imm
-			if a < mem.Guard || a >= size {
-				w.blockTrap(start, pc, d0, "load", a)
-			}
-			if pg := pages[a>>mem.PageShift]; pg != nil {
-				regs[d.rd] = pg[a&mem.PageMask]
-			} else {
-				regs[d.rd] = 0
-			}
-		case isa.Store:
-			a := regs[d.ra] + d.imm
-			if a < mem.Guard || a >= size {
-				w.blockTrap(start, pc, d0, "store", a)
-			}
-			if pg := pages[a>>mem.PageShift]; pg != nil {
-				pg[a&mem.PageMask] = regs[d.rb]
-			} else {
-				memory.Store(a, regs[d.rb])
-			}
-		case isa.Tas:
-			a := regs[d.ra] + d.imm
-			if a < mem.Guard || a >= size {
-				w.blockTrap(start, pc, d0, "load", a)
-			}
-			if pg := pages[a>>mem.PageShift]; pg != nil {
-				regs[d.rd] = pg[a&mem.PageMask]
-				pg[a&mem.PageMask] = 1
-			} else {
-				regs[d.rd] = 0
-				memory.Store(a, 1)
-			}
-		case isa.FAdd:
-			regs[d.rd] = f2b(b2f(regs[d.ra]) + b2f(regs[d.rb]))
-		case isa.FSub:
-			regs[d.rd] = f2b(b2f(regs[d.ra]) - b2f(regs[d.rb]))
-		case isa.FMul:
-			regs[d.rd] = f2b(b2f(regs[d.ra]) * b2f(regs[d.rb]))
-		case isa.FDiv:
-			regs[d.rd] = f2b(b2f(regs[d.ra]) / b2f(regs[d.rb]))
-		case isa.FNeg:
-			regs[d.rd] = f2b(-b2f(regs[d.ra]))
-		case isa.FCmp:
-			a, b := b2f(regs[d.ra]), b2f(regs[d.rb])
-			switch {
-			case a < b:
-				regs[d.rd] = -1
-			case a > b:
-				regs[d.rd] = 1
+	for {
+		start, d0 := pc, &dec[pc]
+		end := start + int64(d0.runLen)
+		// A taken branch sets pc to its target and leaves the loop; a
+		// not-taken one falls off the end like any other run. So pc is
+		// the next pc on exit, with no separate variable: one kept live
+		// across the loop cost a stack spill per instruction.
+	body:
+		for ; pc < end; pc++ {
+			d := &dec[pc]
+			switch d.op {
+			case isa.Nop:
+			case isa.Const:
+				regs[d.rd] = d.imm
+			case isa.Mov:
+				regs[d.rd] = regs[d.ra]
+			case isa.Add:
+				regs[d.rd] = regs[d.ra] + regs[d.rb]
+			case isa.Sub:
+				regs[d.rd] = regs[d.ra] - regs[d.rb]
+			case isa.Mul:
+				regs[d.rd] = regs[d.ra] * regs[d.rb]
+			case isa.Div:
+				if regs[d.rb] == 0 {
+					w.blockSync(start, pc, d0)
+					w.fail(pc, "division by zero")
+				}
+				regs[d.rd] = regs[d.ra] / regs[d.rb]
+			case isa.Mod:
+				if regs[d.rb] == 0 {
+					w.blockSync(start, pc, d0)
+					w.fail(pc, "modulo by zero")
+				}
+				regs[d.rd] = regs[d.ra] % regs[d.rb]
+			case isa.And:
+				regs[d.rd] = regs[d.ra] & regs[d.rb]
+			case isa.Or:
+				regs[d.rd] = regs[d.ra] | regs[d.rb]
+			case isa.Xor:
+				regs[d.rd] = regs[d.ra] ^ regs[d.rb]
+			case isa.Shl:
+				regs[d.rd] = regs[d.ra] << uint64(regs[d.rb]&63)
+			case isa.Shr:
+				regs[d.rd] = regs[d.ra] >> uint64(regs[d.rb]&63)
+			case isa.AddI:
+				regs[d.rd] = regs[d.ra] + d.imm
+			case isa.MulI:
+				regs[d.rd] = regs[d.ra] * d.imm
+			case isa.Load:
+				a := regs[d.ra] + d.imm
+				if a < mem.Guard || a >= size {
+					w.blockTrap(start, pc, d0, "load", a)
+				}
+				if pg := pages[a>>mem.PageShift]; pg != nil {
+					regs[d.rd] = pg[a&mem.PageMask]
+				} else {
+					regs[d.rd] = 0
+				}
+			case isa.Store:
+				a := regs[d.ra] + d.imm
+				if a < mem.Guard || a >= size {
+					w.blockTrap(start, pc, d0, "store", a)
+				}
+				if pg := pages[a>>mem.PageShift]; pg != nil {
+					pg[a&mem.PageMask] = regs[d.rb]
+				} else {
+					memory.Store(a, regs[d.rb])
+				}
+			case isa.Tas:
+				a := regs[d.ra] + d.imm
+				if a < mem.Guard || a >= size {
+					w.blockTrap(start, pc, d0, "load", a)
+				}
+				if pg := pages[a>>mem.PageShift]; pg != nil {
+					regs[d.rd] = pg[a&mem.PageMask]
+					pg[a&mem.PageMask] = 1
+				} else {
+					regs[d.rd] = 0
+					memory.Store(a, 1)
+				}
+			case isa.FAdd:
+				regs[d.rd] = f2b(b2f(regs[d.ra]) + b2f(regs[d.rb]))
+			case isa.FSub:
+				regs[d.rd] = f2b(b2f(regs[d.ra]) - b2f(regs[d.rb]))
+			case isa.FMul:
+				regs[d.rd] = f2b(b2f(regs[d.ra]) * b2f(regs[d.rb]))
+			case isa.FDiv:
+				regs[d.rd] = f2b(b2f(regs[d.ra]) / b2f(regs[d.rb]))
+			case isa.FNeg:
+				regs[d.rd] = f2b(-b2f(regs[d.ra]))
+			case isa.FCmp:
+				a, b := b2f(regs[d.ra]), b2f(regs[d.rb])
+				switch {
+				case a < b:
+					regs[d.rd] = -1
+				case a > b:
+					regs[d.rd] = 1
+				default:
+					regs[d.rd] = 0
+				}
+			case isa.ItoF:
+				regs[d.rd] = f2b(float64(regs[d.ra]))
+			case isa.FtoI:
+				regs[d.rd] = int64(b2f(regs[d.ra]))
+			case isa.Jmp:
+				pc = d.imm
+				break body
+			case isa.JmpReg:
+				pc = regs[d.ra]
+				break body
+			case isa.Beq:
+				if regs[d.ra] == regs[d.rb] {
+					pc = d.imm
+					break body
+				}
+			case isa.Bne:
+				if regs[d.ra] != regs[d.rb] {
+					pc = d.imm
+					break body
+				}
+			case isa.Blt:
+				if regs[d.ra] < regs[d.rb] {
+					pc = d.imm
+					break body
+				}
+			case isa.Ble:
+				if regs[d.ra] <= regs[d.rb] {
+					pc = d.imm
+					break body
+				}
+			case isa.Bgt:
+				if regs[d.ra] > regs[d.rb] {
+					pc = d.imm
+					break body
+				}
+			case isa.Bge:
+				if regs[d.ra] >= regs[d.rb] {
+					pc = d.imm
+					break body
+				}
 			default:
-				regs[d.rd] = 0
+				// Unreachable: only Straightline ops and a closing Branch
+				// are batched.
+				w.blockSync(start, pc, d0)
+				w.fail(pc, "illegal opcode %v", d.op)
 			}
-		case isa.ItoF:
-			regs[d.rd] = f2b(float64(regs[d.ra]))
-		case isa.FtoI:
-			regs[d.rd] = int64(b2f(regs[d.ra]))
-		default:
-			// Unreachable: only Straightline ops are batched.
-			w.blockSync(start, pc, d0)
-			w.fail(pc, "illegal opcode %v", d.op)
+		}
+		w.blockDone(d0, pc)
+		if pc < 0 || pc >= int64(len(dec)) || !w.batchable(&dec[pc], deadline) {
+			return
 		}
 	}
-	w.blockDone(d0, end)
 }
 
 // blockDone commits a completed batch: the run's cycles, instruction count
-// and epilogue-check attribution, charged once, and the new pc.
-func (w *Worker) blockDone(d0 *decoded, end int64) {
+// and epilogue-check attribution, charged once, and the pc it ended at.
+func (w *Worker) blockDone(d0 *decoded, next int64) {
 	w.Cycles += int64(d0.runCost)
 	w.Stats.Instrs += int64(d0.runLen)
-	w.PC = end
+	w.PC = next
 	w.batched += int64(d0.runCost)
 	if o := w.Obs; o != nil && d0.runCheckCost != 0 {
 		o.Charge(obs.PhaseEpilogue, int64(d0.runCheckCost))
@@ -412,8 +478,16 @@ func (w *Worker) blockDone(d0 *decoded, end int64) {
 }
 
 // BatchedCycles reports the virtual cycles the worker executed on the
-// batched straight-line tier — a host-side tier-residency diagnostic.
+// batched tier — a host-side tier-residency diagnostic.
 func (w *Worker) BatchedCycles() int64 { return w.batched }
+
+// ReferenceCycles reports the virtual cycles the per-instruction reference
+// path charged for the instructions it executed, call adjustments and Cilk
+// poll refunds included. Together with BatchedCycles it is the worker's
+// instruction work; the rest of Cycles is runtime services (builtins,
+// suspension unwinding, steals) and idle waits, charged outside Run's
+// instruction loop. A host-side diagnostic like BatchedCycles.
+func (w *Worker) ReferenceCycles() int64 { return w.reference }
 
 // blockSync synchronizes the worker's architectural state to the exact
 // per-instruction state at pc inside the batch starting at start: the

@@ -103,7 +103,7 @@ type Options struct {
 	// costs nothing — collection never charges virtual cycles either way.
 	Obs *obs.Collector
 	// NoFastPath forces the interpreter onto its per-instruction reference
-	// tier, disabling the batched straight-line tier. Tests use it to prove
+	// tier, disabling the batched tier. Tests use it to prove
 	// the batched tier is observationally identical; nothing in the
 	// production paths (core, sched, stserve) ever sets it.
 	NoFastPath bool
@@ -370,11 +370,12 @@ type Worker struct {
 	// stealFrames is the reusable buffer for StealOldestCilk's stack walk.
 	stealFrames []cilkFrame
 
-	// batched counts the virtual cycles this worker executed on the
-	// batched tier (runBlock). Host-side tier-residency diagnostic only:
-	// never exported or imported, and never part of a deterministic
-	// artifact.
-	batched int64
+	// batched and reference count the virtual cycles this worker's
+	// instructions were charged on the batched tier (runBlock) and on the
+	// per-instruction reference path of Run. Host-side tier-residency
+	// diagnostics only: never exported or imported, and never part of a
+	// deterministic artifact.
+	batched, reference int64
 }
 
 func newWorker(m *Machine, id int) *Worker {

@@ -16,16 +16,23 @@ import "sync/atomic"
 // one pointer check.
 type Contention struct {
 	// BatchedCycles counts the virtual cycles workers executed on the
-	// interpreter's batched straight-line tier (machine.Worker.
-	// BatchedCycles), folded in at run end. It is the tier-residency
-	// signal: a served job whose share here drops to zero has been sent
-	// back to the per-instruction reference tier.
+	// interpreter's batched tier (machine.Worker.BatchedCycles), folded in
+	// at run end. It is the tier-residency signal: a served job whose share
+	// here drops to zero has been sent back to the per-instruction
+	// reference tier.
 	BatchedCycles atomic.Int64
+	// ReferenceCycles counts the virtual cycles the per-instruction
+	// reference path charged (machine.Worker.ReferenceCycles), folded in
+	// the same way. Batched plus reference is the run's instruction work;
+	// the rest of WorkCycles is runtime services (builtins, suspension
+	// unwinding, steal handshakes) and idle waits.
+	ReferenceCycles atomic.Int64
 }
 
 // ContentionSnapshot is the JSON form of a Contention read.
 type ContentionSnapshot struct {
-	BatchedCycles int64 `json:"batched_vcycles"`
+	BatchedCycles   int64 `json:"batched_vcycles"`
+	ReferenceCycles int64 `json:"reference_vcycles"`
 }
 
 // Snapshot reads the counters. The read is per-field atomic, not a
@@ -34,5 +41,8 @@ func (c *Contention) Snapshot() ContentionSnapshot {
 	if c == nil {
 		return ContentionSnapshot{}
 	}
-	return ContentionSnapshot{BatchedCycles: c.BatchedCycles.Load()}
+	return ContentionSnapshot{
+		BatchedCycles:   c.BatchedCycles.Load(),
+		ReferenceCycles: c.ReferenceCycles.Load(),
+	}
 }

@@ -45,6 +45,10 @@ func TestContentionCountersTrackSpeculation(t *testing.T) {
 	if snap.BatchedCycles <= 0 || snap.BatchedCycles > res.WorkCycles {
 		t.Errorf("batched-tier cycles = %d, want in (0, %d]", snap.BatchedCycles, res.WorkCycles)
 	}
+	if snap.ReferenceCycles <= 0 || snap.BatchedCycles+snap.ReferenceCycles > res.WorkCycles {
+		t.Errorf("reference-path cycles = %d (batched %d), want > 0 with the sum at most %d",
+			snap.ReferenceCycles, snap.BatchedCycles, res.WorkCycles)
+	}
 	if bare := run(nil, nil); !reflect.DeepEqual(bare, res) {
 		t.Errorf("result drift with sinks attached:\n  with: %+v\n  bare: %+v", res, bare)
 	}

@@ -260,6 +260,7 @@ func (s *scheduler) execute() (*Result, error) {
 			// it depends on the interpreter tier, not on the program, and
 			// must never enter Result.
 			cont.BatchedCycles.Add(w.BatchedCycles())
+			cont.ReferenceCycles.Add(w.ReferenceCycles())
 		}
 	}
 	s.res.Picks = s.picks

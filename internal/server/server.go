@@ -719,6 +719,7 @@ func (s *Server) HostSpans() *obs.HostRecorder { return s.host }
 func (s *Server) syncObsMetrics() {
 	cs := s.cont.Snapshot()
 	s.met.Set("tier_batched_vcycles", cs.BatchedCycles)
+	s.met.Set("tier_reference_vcycles", cs.ReferenceCycles)
 	if s.host != nil {
 		s.met.Set("host_spans_dropped", s.host.Overwritten())
 	}

@@ -419,9 +419,10 @@ func TestPrometheusEndpointLints(t *testing.T) {
 
 // TestServedJobRunsOnBatchedTier: served jobs always carry an obs
 // collector, and that must not send them to the per-instruction reference
-// tier. A single-worker fib job reports a nonzero
-// batched-tier share of its work cycles in the contention snapshot, the
-// metrics JSON and the Prometheus exposition.
+// tier. A single-worker fib job reports a nonzero batched-tier share of its
+// work cycles, and the reference path's share next to it (the two sum to at
+// most WorkCycles: runtime services and idle waits make up the rest), in
+// the contention snapshot, the metrics JSON and the Prometheus exposition.
 func TestServedJobRunsOnBatchedTier(t *testing.T) {
 	s := New(Config{HostProcs: 1, CacheEntries: -1})
 	defer s.Drain()
@@ -432,11 +433,17 @@ func TestServedJobRunsOnBatchedTier(t *testing.T) {
 	if v.State != StateDone || v.Result == nil {
 		t.Fatalf("job state %q (%s)", v.State, v.Error)
 	}
-	batched := s.DebugSnapshot().Contention.BatchedCycles
+	cont := s.DebugSnapshot().Contention
+	batched, reference := cont.BatchedCycles, cont.ReferenceCycles
 	if batched <= 0 || batched > v.Result.WorkCycles {
 		t.Fatalf("batched-tier cycles = %d of %d work cycles, want a share in (0, 1]", batched, v.Result.WorkCycles)
 	}
-	t.Logf("batched-tier share: %d/%d = %.2f", batched, v.Result.WorkCycles, float64(batched)/float64(v.Result.WorkCycles))
+	if reference <= 0 || batched+reference > v.Result.WorkCycles {
+		t.Fatalf("reference-path cycles = %d, batched %d, of %d work cycles: want a nonzero reference share and batched + reference <= work",
+			reference, batched, v.Result.WorkCycles)
+	}
+	t.Logf("batched-tier share: %d/%d = %.2f, reference %.2f", batched, v.Result.WorkCycles,
+		float64(batched)/float64(v.Result.WorkCycles), float64(reference)/float64(v.Result.WorkCycles))
 
 	get := func(path string) []byte {
 		t.Helper()
@@ -458,12 +465,29 @@ func TestServedJobRunsOnBatchedTier(t *testing.T) {
 	if got := snap.Gauges["tier_batched_vcycles"]; got != batched {
 		t.Fatalf("metrics JSON tier_batched_vcycles = %d, want %d", got, batched)
 	}
+	if got := snap.Gauges["tier_reference_vcycles"]; got != reference {
+		t.Fatalf("metrics JSON tier_reference_vcycles = %d, want %d", got, reference)
+	}
+	var dbg struct {
+		Contention map[string]int64 `json:"contention"`
+	}
+	if err := json.Unmarshal(get("/debug/jobs"), &dbg); err != nil {
+		t.Fatal(err)
+	}
+	if got := dbg.Contention["reference_vcycles"]; got != reference {
+		t.Fatalf("/debug/jobs contention.reference_vcycles = %d, want %d", got, reference)
+	}
 	prom := get("/metrics?format=prom")
 	if err := obs.CheckExposition(bytes.NewReader(prom)); err != nil {
 		t.Fatalf("exposition lint: %v\n%s", err, prom)
 	}
-	if want := fmt.Sprintf("st_tier_batched_vcycles %d\n", batched); !bytes.Contains(prom, []byte(want)) {
-		t.Fatalf("exposition missing %q:\n%s", want, prom)
+	for _, want := range []string{
+		fmt.Sprintf("st_tier_batched_vcycles %d\n", batched),
+		fmt.Sprintf("st_tier_reference_vcycles %d\n", reference),
+	} {
+		if !bytes.Contains(prom, []byte(want)) {
+			t.Fatalf("exposition missing %q:\n%s", want, prom)
+		}
 	}
 }
 
