@@ -210,7 +210,8 @@ func Run(w *apps.Workload, cfg Config) (*Result, error) {
 // prepare resolves defaults, constructs the machine and runs the workload's
 // memory setup — everything shared between a fresh run and a resumption
 // (resumes must reconstruct the machine exactly as the capturing run did,
-// so the checkpointed image lands on an identical layout).
+// so the checkpointed image lands on an identical layout). The caller owns
+// the machine's memory and releases it once the run is finished with it.
 func prepare(prog *isa.Program, w *apps.Workload, cfg *Config) (*machine.Machine, []int64, error) {
 	if cfg.Mode < Sequential || cfg.Mode > Cilk {
 		return nil, nil, fmt.Errorf("core: unknown mode %v", cfg.Mode)
@@ -247,6 +248,7 @@ func prepare(prog *isa.Program, w *apps.Workload, cfg *Config) (*machine.Machine
 	if w.Setup != nil {
 		var err error
 		if args, err = w.Setup(m.Mem); err != nil {
+			m.Mem.Release()
 			return nil, nil, fmt.Errorf("core: setup %s: %w", w.Name, err)
 		}
 	}
@@ -314,6 +316,10 @@ func RunProgram(prog *isa.Program, w *apps.Workload, cfg Config) (*Result, error
 	if err != nil {
 		return nil, err
 	}
+	// Everything that reads the memory — the scheduler, a capture's
+	// export, finishRun's audit and Verify — is done by the time this
+	// returns, so the memory goes back to the free lists.
+	defer m.Mem.Release()
 
 	sres, err := sched.Run(m, w.Entry, args, cfg.schedConfig())
 	if err != nil {
@@ -362,6 +368,7 @@ func Resume(w *apps.Workload, cfg Config, b *sched.Boundary) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Mem.Release()
 	if err := m.ImportState(b.Mach); err != nil {
 		return nil, fmt.Errorf("core: resume: %w", err)
 	}

@@ -21,7 +21,10 @@
 //	FrameSize = 2 + S + L + A
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Reg names a machine register.
 type Reg uint8
@@ -348,6 +351,35 @@ type Program struct {
 	// runtime extends the physical stack top by this amount to maintain
 	// Invariant 2.
 	MaxArgsOut int64
+
+	// derived memoizes tables other packages compute from the program (see
+	// Derive). It lives exactly as long as the program, so nothing outside
+	// pins a program to keep its tables.
+	derivedMu sync.Mutex
+	derived   []derivation
+}
+
+// derivation is one memoized Derive result.
+type derivation struct{ key, val any }
+
+// Derive returns the value memoized on p under key, calling build to make it
+// on the first request. Concurrent first requests build once: the others
+// wait for that build. The value is shared by every caller, so it must be
+// treated as read-only, and the program must not change once linked, or
+// the value goes stale. Keys of distinct types never match, so a package
+// keeps its entries apart by keying them with a type of its own; a program
+// holds few entries, one per distinct key.
+func Derive[K comparable, V any](p *Program, key K, build func() V) V {
+	p.derivedMu.Lock()
+	defer p.derivedMu.Unlock()
+	for _, d := range p.derived {
+		if k, ok := d.key.(K); ok && k == key {
+			return d.val.(V)
+		}
+	}
+	v := build()
+	p.derived = append(p.derived, derivation{key, v})
+	return v
 }
 
 // DescFor returns the descriptor of the procedure containing pc, or nil.

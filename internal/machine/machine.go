@@ -138,22 +138,14 @@ type Machine struct {
 
 	Workers []*Worker
 
-	// descAt maps every pc to its procedure descriptor (O(1) version of
-	// Program.DescFor, built once).
+	// descAt and dec are the program's per-pc tables (see image in
+	// decode.go): descAt maps every pc to its procedure descriptor (O(1)
+	// version of Program.DescFor), and dec is the flat decode cache driving
+	// the interpreter — resolved descriptors, costs, call adjustments and
+	// straight-line run metadata. Both are shared by every machine of the
+	// program with the same cost key, and read-only.
 	descAt []*isa.Desc
-	// isForkPC marks the Call instructions that are fork points.
-	isForkPC []bool
-	// isCheckPC marks the instructions that exist only because of epilogue
-	// augmentation (the free check and the retain path's frame-finished
-	// marking); the observability layer attributes their cost separately.
-	isCheckPC []bool
-	// augRefund is the dynamic cost of the epilogue free check, refunded
-	// per call in Cilk cost mode.
-	augRefund int64
-	// dec is the flat per-pc decode cache driving the interpreter: resolved
-	// descriptors, costs, call adjustments and straight-line run metadata
-	// (see decode.go). Immutable after New.
-	dec []decoded
+	dec    []decoded
 
 	thunks    map[int64]*thunk
 	nextThunk int64
@@ -181,7 +173,8 @@ type thunk struct {
 }
 
 // New creates a machine with nWorkers workers, each with its own physical
-// stack region and worker-local storage.
+// stack region and worker-local storage. The per-pc tables come from the
+// program, built by the first machine with the same cost key (imageFor).
 func New(prog *isa.Program, memory *mem.Memory, cost *isa.CostModel, nWorkers int, opts Options) *Machine {
 	if opts.StackWords == 0 {
 		opts.StackWords = DefaultStackWords
@@ -198,32 +191,11 @@ func New(prog *isa.Program, memory *mem.Memory, cost *isa.CostModel, nWorkers in
 		nextThunk: magicThunkBase,
 		rng:       opts.Seed*2862933555777941757 + 3037000493,
 	}
-	m.descAt = make([]*isa.Desc, len(prog.Code))
-	m.isForkPC = make([]bool, len(prog.Code))
-	m.isCheckPC = make([]bool, len(prog.Code))
-	for _, d := range prog.Descs {
-		for pc := d.Entry; pc < d.End; pc++ {
-			m.descAt[pc] = d
-		}
-		for _, f := range d.ForkPoints {
-			m.isForkPC[f] = true
-		}
-		if d.Augmented && d.CheckEntry > 0 {
-			// The augmented tail's extra instructions over the original
-			// epilogue: the three-instruction free check, plus the retain
-			// path's finished-marking Const/Store (augmentedTail layout).
-			for _, off := range []int64{0, 1, 2, 8, 9} {
-				if pc := d.CheckEntry + off; pc < d.End {
-					m.isCheckPC[pc] = true
-				}
-			}
-		}
-	}
+	img := imageFor(prog, cost, &opts)
+	m.descAt, m.dec = img.descAt, img.dec
 	if opts.Obs != nil {
 		opts.Obs.Attach(prog)
 	}
-	m.augRefund = cost.OpCost[isa.Load] + cost.OpCost[isa.Bge] + cost.OpCost[isa.Blt]
-	m.buildDecode()
 	// Size the page table once for every worker's stack and local storage,
 	// so the mappings below reslice it instead of reallocating per worker.
 	memory.Grow(int64(nWorkers) * (opts.StackWords + wlWords))

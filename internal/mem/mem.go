@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // Addr is a simulated memory address, measured in 64-bit words.
@@ -48,10 +49,20 @@ func (t *Trap) Error() string {
 //
 // Everything in [Guard, Size()) is mapped; only the pages a run has stored
 // a nonzero word into are backed by host memory.
+//
+// A Memory has one owner, which calls Release once nothing reads it any
+// more: core releases each run's memory after the run's final audit,
+// metrics and Verify. Release recycles the page table and the pages, so the
+// next Memory built by New, or filled by Store and ImportState, reuses them
+// instead of allocating and zeroing fresh ones.
 type Memory struct {
 	// pages is the page table, indexed by address >> PageShift. A nil
 	// entry is a mapped page whose words are all zero.
-	pages    []*Page
+	pages []*Page
+	// spare holds zero pages ready to back the next materialized ones:
+	// the pages of a released memory, and those ImportState took out of
+	// the table.
+	spare    []*Page
 	size     Addr
 	heapLo   Addr
 	heapNext Addr
@@ -71,14 +82,76 @@ type Page = [PageWords]int64
 // Guard is the number of unmapped low words; address 0 always traps.
 const Guard Addr = 16
 
-// New creates a memory with the given heap capacity in words.
+// parts is what Release recycles: a page table, nil up to its capacity,
+// and zero pages. New takes one whole, so the pages a memory releases back
+// the next memory's stores and imports.
+type parts struct{ table, spare []*Page }
+
+// free holds released parts.
+var free sync.Pool // *parts
+
+// New creates a memory with the given heap capacity in words, built from
+// released parts when some are free.
 func New(heapWords int) *Memory {
+	p, _ := free.Get().(*parts)
+	return newFrom(heapWords, p)
+}
+
+// newFrom is New on p's table and pages; p may be nil.
+func newFrom(heapWords int, p *parts) *Memory {
 	if heapWords < 0 {
 		panic("mem: negative heap size")
 	}
 	m := &Memory{heapLo: Guard, heapNext: Guard, heapHi: Guard + Addr(heapWords)}
+	if p != nil {
+		m.pages, m.spare = p.table[:0], p.spare
+	}
 	m.extend(m.heapHi)
 	return m
+}
+
+// Release zeroes the memory's materialized pages and hands them, its spare
+// pages and its page table back for New to reuse, and leaves the memory
+// empty: every later access traps. Only the owner calls it, once nothing
+// will read the memory again; the Pages slice it handed out is dead after
+// it.
+func (m *Memory) Release() {
+	if p := m.release(); p != nil {
+		free.Put(p)
+	}
+}
+
+// release is Release returning the parts instead of freeing them; nil when
+// the memory has none.
+func (m *Memory) release() *parts {
+	m.recyclePages()
+	var p *parts
+	if cap(m.pages) > 0 || len(m.spare) > 0 {
+		p = &parts{table: m.pages[:0], spare: m.spare}
+	}
+	*m = Memory{}
+	return p
+}
+
+// recyclePages zeroes every materialized page and moves it to the spare
+// list, so the whole table reads as zero again.
+func (m *Memory) recyclePages() {
+	for i, pg := range m.pages {
+		if pg != nil {
+			*pg = Page{}
+			m.spare = append(m.spare, pg)
+			m.pages[i] = nil
+		}
+	}
+}
+
+// newPage returns a zero page, a spare one when there is one.
+func (m *Memory) newPage() (pg *Page) {
+	if len(m.spare) == 0 {
+		return new(Page)
+	}
+	pg, m.spare = m.spare[0], m.spare[1:]
+	return pg
 }
 
 // NewReserved is New with the page table grown (see Grow) for extra words
@@ -106,7 +179,8 @@ func (m *Memory) Grow(n Addr) {
 // extend maps every address below size, growing the page table with nil
 // (zero) pages. Within the table's capacity it reslices and allocates
 // nothing. The entries it exposes are already nil: the table never shrinks,
-// nothing writes past its length, and Grow's new capacity is zeroed.
+// nothing writes past its length, Grow's new capacity is zeroed, and a
+// released table is nil up to its capacity.
 func (m *Memory) extend(size Addr) {
 	m.size = size
 	if np := int((size + PageMask) >> PageShift); np > len(m.pages) {
@@ -150,7 +224,8 @@ func (m *Memory) Load(a Addr) int64 {
 }
 
 // Store writes one word, trapping like Load on an unmapped address. The
-// first nonzero store into a page materializes it.
+// first nonzero store into a page materializes it, with a spare page when
+// there is one.
 func (m *Memory) Store(a Addr, v int64) {
 	if a < Guard || a >= m.size {
 		panic(&Trap{Kind: "store", Addr: a})
@@ -160,7 +235,7 @@ func (m *Memory) Store(a Addr, v int64) {
 		if v == 0 {
 			return
 		}
-		pg = new(Page)
+		pg = m.newPage()
 		m.pages[a>>PageShift] = pg
 	}
 	pg[a&PageMask] = v

@@ -102,10 +102,10 @@ func (st *State) Validate() error {
 // extra stack segments after construction); it can never be smaller,
 // because the importer reconstructs the machine with the same worker count
 // and stack sizes before installing the image. The page table built at
-// construction is reused: every page setup materialized is dropped, the
-// table is extended to st.Size and filled from st.Index, so the image must
-// have passed Validate, and callers holding an untrusted image bound its
-// Size first.
+// construction is reused: every page setup materialized is zeroed and kept
+// as a spare, and the table is extended to st.Size and filled from
+// st.Index, spare pages first. So the image must have passed Validate, and
+// callers holding an untrusted image bound its Size first.
 func (m *Memory) ImportState(st *State) error {
 	if st.Size < m.size {
 		return fmt.Errorf("mem: import image has %d words, current mapping needs %d",
@@ -115,12 +115,12 @@ func (m *Memory) ImportState(st *State) error {
 		return fmt.Errorf("mem: import heap pointer %d outside heap [%d,%d)",
 			st.HeapNext, m.heapLo, m.heapHi)
 	}
-	clear(m.pages)
+	m.recyclePages()
 	m.extend(st.Size)
-	backing := make([]Page, len(st.Index))
 	for i, p := range st.Index {
-		copy(backing[i][:], st.Words[i*PageWords:])
-		m.pages[p] = &backing[i]
+		pg := m.newPage()
+		copy(pg[:], st.Words[i*PageWords:])
+		m.pages[p] = pg
 	}
 	m.heapNext = st.HeapNext
 	return nil

@@ -97,3 +97,28 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestEncodeAllocatesExactly checks Encode returns its bytes in a buffer of
+// exactly their length, for a captured quick-scale snapshot with obs, and
+// that the reused scratch buffer leaves the bytes unchanged: a smaller
+// snapshot encoded after a larger one, then the larger again, reproduce.
+func TestEncodeAllocatesExactly(t *testing.T) {
+	big := captureQuick(t, "cilksort", core.StackThreads, 8)
+	small := captureQuick(t, "fib", core.StackThreads, 2)
+	for _, enc := range [][]byte{big, small} {
+		if cap(enc) != len(enc) {
+			t.Fatalf("Encode returned %d bytes in a %d-byte buffer", len(enc), cap(enc))
+		}
+		s, err := Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re, enc) || cap(re) != len(re) {
+			t.Fatalf("re-encoding gave %d bytes (cap %d), want the %d captured", len(re), cap(re), len(enc))
+		}
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"repro/internal/exportset"
 	"repro/internal/fault"
@@ -74,6 +75,10 @@ type Snapshot struct {
 
 // writer serializes values into a growing buffer.
 type writer struct{ buf []byte }
+
+// scratch holds writers whose buffers Encode reuses: a snapshot is encoded
+// into one and copied out once, at its final size.
+var scratch sync.Pool // *writer
 
 func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
 func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
@@ -221,12 +226,17 @@ func (r *reader) u64s() []uint64 {
 }
 
 // Encode serializes the snapshot. Equal snapshots encode to equal bytes.
+// The result is allocated once, at its exact length.
 func Encode(s *Snapshot) ([]byte, error) {
 	if s == nil || s.Mach == nil || s.Sched == nil {
 		return nil, fmt.Errorf("snapshot: encode: incomplete snapshot (nil machine or scheduler state)")
 	}
-	w := &writer{buf: make([]byte, 0, 64+8*len(s.Mach.Mem.Words))}
-	w.buf = append(w.buf, magic[:]...)
+	w, ok := scratch.Get().(*writer)
+	if !ok {
+		w = &writer{}
+	}
+	defer scratch.Put(w)
+	w.buf = append(w.buf[:0], magic[:]...)
 	w.u32(FormatVersion)
 	w.str(s.Key)
 	w.str(s.TraceID)
@@ -246,7 +256,9 @@ func Encode(s *Snapshot) ([]byte, error) {
 	w.bytes(s.Out)
 
 	w.u32(crc32.ChecksumIEEE(w.buf))
-	return w.buf, nil
+	out := make([]byte, len(w.buf))
+	copy(out, w.buf)
+	return out, nil
 }
 
 func encodeMach(w *writer, st *machine.State) {
